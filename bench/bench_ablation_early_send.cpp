@@ -71,10 +71,14 @@ measurement run(bool early) {
             if (!sent) break;  // buffer full: bench keeps the window open
         } else {
             const std::uint64_t before = sys.cycles();
-            if (!app::send_message_ilp(sender, mem, cipher, src, layout.plan,
-                                       counters)) {
-                break;
-            }
+            const bool sent = sender.send_message(
+                layout.wire_bytes, [&](const ring_span& dst) {
+                    return app::fill_message_ilp(mem, cipher, src, layout.plan,
+                                                 dst);
+                });
+            if (!sent) break;
+            app::count_sent(counters, app::path_mode::ilp, layout.wire_bytes,
+                            layout.wire_bytes);
             result.flush_cycles += sys.cycles() - before;  // all of it
         }
         // Instant ACK so the window never closes (isolates the data path).

@@ -3,7 +3,7 @@
 // Text mode mirrors compiler diagnostics so editors and humans parse it at
 // a glance:
 //
-//   src/app/send_path.h:send_message_ilp: error: [R1-ordering] stage
+//   src/app/send_path.h:fill_message_ilp: error: [R1-ordering] stage
 //   'crc32_tap' is ordering-constrained but ...  (pipeline: app-send-ilp)
 //
 // JSON mode is the machine-readable CI contract: a stable top-level object

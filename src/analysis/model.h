@@ -35,7 +35,7 @@ struct part_info {
 struct pipeline_model {
     // Registered name, unique-ish, used in diagnostics and --list.
     std::string name;
-    // Where the composition lives: "src/app/send_path.h:send_message_ilp".
+    // Where the composition lives: "src/app/send_path.h:fill_message_ilp".
     std::string site;
 
     pipeline_kind kind = pipeline_kind::fused;

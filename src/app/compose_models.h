@@ -103,7 +103,7 @@ analysis::stage_graph flow_graph(const secure_params& params, compose_tap tap,
     g.name = std::string("flow/") + cipher_label<Cipher>() + "/" +
              (secure ? "v3" : "v2") + "/tap-" + to_string(tap) + "/" +
              to_string(sched);
-    g.site = "app/compose_models.h:flow_graph";
+    g.site = "src/app/compose_models.h:flow_graph";
     g.side = sched == compose_schedule::receive ? analysis::graph_side::receive
                                                 : analysis::graph_side::send;
     g.kind = analysis::pipeline_kind::fused;

@@ -318,7 +318,7 @@ analysis::stage_graph word_chain_graph(const Cipher& cipher, bool with_xdr,
     analysis::stage_graph g;
     g.name = std::string("word/") + cipher_label<Cipher>() +
              (with_xdr ? "/xdr" : "") + (encrypting ? "/encrypt" : "/decrypt");
-    g.site = "app/compose_sweep.cpp:word_chain_graph";
+    g.site = "src/app/compose_sweep.cpp:word_chain_graph";
     g.side = encrypting ? analysis::graph_side::send
                         : analysis::graph_side::receive;
     g.kind = analysis::pipeline_kind::word_chain;

@@ -21,7 +21,6 @@
 #include <deque>
 #include <map>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "app/path_mode.h"
@@ -92,26 +91,16 @@ public:
                 const tcp::connection_config& reply_cfg, path_mode mode,
                 const file_store& store, const secure_params& secure = {})
         : mem_(mem),
-          cipher_(&cipher),
+          keys_(cipher, secure),
+          rekey_interval_bytes_(
+              secure_framing(secure) ? secure.rekey_interval_bytes : 0),
           mode_(mode),
           store_(&store),
-          secure_(secure),
           request_isn_(request_cfg.initial_seq),
           request_rx_(mem, clock, request_ack_out, request_cfg),
           reply_tx_(mem, clock, reply_data_out, reply_cfg),
-          workspace_(net::datagram_pipe::max_packet_bytes),
+          layered_staging_(net::datagram_pipe::max_packet_bytes),
           request_staging_(net::datagram_pipe::max_packet_bytes) {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (secure_.enabled) {
-                chain_.emplace(secure_.flow_secret);
-                control_cipher_.emplace(
-                    crypto::derive_control_cipher<Cipher>(
-                        secure_.flow_secret));
-            }
-        } else {
-            // Secure mode needs a KDF-derivable, tag-capable cipher.
-            ILP_EXPECT(!secure_.enabled);
-        }
         reply_tx_.set_attribution("server", obs_src_);
         // The client's request sender RSTs when it gives up; rewind to the
         // agreed initial sequence so its re-established sender lines up.
@@ -189,57 +178,32 @@ public:
     // Makes forward progress on pending reply streams; idempotent, called
     // from the run loop and from the ACK handler.
     void pump() {
-        ILP_OBS_ATTR("server", obs_src_);
-        if (reply_tx_.failed()) {
-            // The reply stream is dead (RST already went out).  Park: the
-            // client re-requests what it is missing, which resets the
-            // stream and replaces these jobs.
-            if (!jobs_.empty()) {
-                jobs_abandoned_ += jobs_.size();
-                jobs_.clear();
-            }
-            return;
-        }
-        while (!jobs_.empty()) {
-            if (!send_next_reply(jobs_.front())) return;  // blocked or done
-            if (jobs_.front().finished) jobs_.pop_front();
+        while (pump_one() != 0) {
         }
     }
 
-    // Sends at most one reply segment; returns its wire size in bytes, 0
-    // when nothing was sent (no pending jobs, reply stream failed, or TCP
-    // out of buffer/window space).  A zero-payload completion reply still
-    // reports its header wire bytes, so 0 unambiguously means "blocked".
+    // Sends at most one reply segment — the three pipeline stages below run
+    // inline on one stack slot; returns its wire size in bytes, 0 when
+    // nothing was sent (no pending jobs, reply stream failed, or TCP out of
+    // buffer/window space).  A zero-payload completion reply still reports
+    // its header wire bytes, so 0 unambiguously means "blocked".
     std::size_t pump_one() {
         ILP_OBS_ATTR("server", obs_src_);
-        if (reply_tx_.failed()) {
-            if (!jobs_.empty()) {
-                jobs_abandoned_ += jobs_.size();
-                jobs_.clear();
-            }
-            return 0;
-        }
-        while (!jobs_.empty() && jobs_.front().finished) jobs_.pop_front();
-        if (jobs_.empty()) return 0;
-        reply_job& job = jobs_.front();
-        const std::size_t wire =
-            rpc::layout_reply(next_payload_len(job)).wire_bytes +
-            trailer_bytes();
-        if (!send_next_reply(job)) return 0;
-        if (job.finished) jobs_.pop_front();
-        return wire;
+        pipeline_slot slot;
+        if (!segmentize_segment(slot)) return 0;
+        ILP_OBS_SPAN("app", send_span(slot.key, slot.mode));
+        fuse_slot(slot);
+        complete_segment(slot);
+        return slot.wire;
     }
 
     // -----------------------------------------------------------------------
-    // Pipelined dataplane (ILP mode only): pump_one() split into its three
-    // stages so a stage_runner can overlap the fused loop of segment n with
-    // the segmentation of segment n+1.  Serial equivalence contract: for any
-    // job queue, segmentize → fuse → complete performs exactly the sends,
-    // counter updates and rekeys that the same number of pump_one() calls
-    // would — stage A charges nothing, stage C mirrors the serial counter
-    // block verbatim, and the rekey barrier (pipeline_flush_pending) makes
-    // the caller drain before a key-window advance, so every segment is
-    // encrypted under the same epoch it would be serially.
+    // The reply send in three stages, so a stage_runner can overlap the
+    // fused loop of segment n with the segmentation of segment n+1 (ILP
+    // mode only).  Stage A charges nothing, and the rekey barrier
+    // (pipeline_flush_pending) makes the caller drain before a key-window
+    // advance, so every segment is encrypted under the same epoch whether
+    // the stages run pipelined or inline in pump_one().
 
     // One in-flight reply segment.  The staging block lives here because
     // `src` holds gather segments pointing into it; slots therefore need
@@ -252,21 +216,25 @@ public:
         typename tcp::tcp_sender<Mem>::pending_segment pending;
         std::size_t wire = 0;         // full wire size incl. trailer
         std::size_t payload_len = 0;  // file bytes carried
-        const Cipher* cipher = nullptr;
-        crypto::key_epoch epoch = 0;
-        bool secure = false;
-        std::uint16_t payload_sum = 0;
+        seal_key<Cipher> key;         // snapshot taken at reservation
+        bool rekey = false;           // completing it advances the key window
+        path_mode mode = path_mode::ilp;
+        std::span<std::byte> layered_staging;  // serial layered sends only
+        std::optional<std::uint16_t> payload_sum;
         std::optional<Mem> mem;
     };
 
     // Stage A: claim the next segment of the front job — build its source
     // and plan, reserve (but do not fill or publish) its ring space, and
-    // snapshot the cipher/epoch it must be encrypted under.  Returns false
-    // exactly when pump_one() would return 0: no runnable job, failed reply
-    // stream, or no buffer/window space for the reservation.
+    // snapshot the key it must be sealed under.  Returns false when nothing
+    // can be sent: no runnable job, failed reply stream, or no buffer/window
+    // space for the reservation.
     bool segmentize_segment(pipeline_slot& slot) {
         ILP_OBS_ATTR("server", obs_src_);
         if (reply_tx_.failed()) {
+            // The reply stream is dead (RST already went out).  Park: the
+            // client re-requests what it is missing, which resets the
+            // stream and replaces these jobs.
             if (!jobs_.empty()) {
                 jobs_abandoned_ += jobs_.size();
                 jobs_.clear();
@@ -278,10 +246,7 @@ public:
         reply_job& job = jobs_.front();
         ILP_OBS_SPAN("app", "reply_segment");
 
-        const std::size_t remaining = job.file->size() - job.offset;
-        const std::size_t payload_len = std::min<std::size_t>(
-            remaining, job.request.max_reply_payload);
-
+        const std::size_t payload_len = next_payload_len(job);
         rpc::reply_header header;
         header.request_id = job.request.request_id;
         header.copy_index = job.copy;
@@ -289,7 +254,7 @@ public:
         header.total_bytes = static_cast<std::uint32_t>(job.file->size());
 
         const rpc::reply_layout layout = rpc::layout_reply(payload_len);
-        const std::size_t wire = layout.wire_bytes + trailer_bytes();
+        const std::size_t wire = layout.wire_bytes + keys_.trailer_bytes();
         const auto pending = reply_tx_.reserve_segment(wire);
         if (!pending.has_value()) {
             return false;  // delayed until buffer space is available (§3.2.2)
@@ -301,27 +266,25 @@ public:
         slot.pending = *pending;
         slot.wire = wire;
         slot.payload_len = payload_len;
+        slot.key = keys_.reply_key();
+        slot.mode = mode_;
+        if (mode_ == path_mode::layered) {
+            slot.layered_staging = layered_staging_.subspan(0, wire);
+        }
         slot.mem = mem_;
-        slot.secure = false;
-        slot.cipher = &data_cipher();
-        slot.epoch = 0;
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (secure_framing(secure_)) {
-                slot.secure = true;
-                slot.cipher = &chain_->current();
-                slot.epoch = chain_->current_epoch();
-                // Predict the rekey maybe_rekey() will perform when this
-                // segment completes: everything already segmentized was (or
-                // will be) encrypted under the current epoch, so the caller
-                // must drain the pipeline before any further segmentation.
-                if (secure_.rekey_interval_bytes != 0) {
-                    predicted_bytes_since_rekey_ += wire;
-                    if (predicted_bytes_since_rekey_ >=
-                        secure_.rekey_interval_bytes) {
-                        predicted_bytes_since_rekey_ = 0;
-                        flush_pending_ = true;
-                    }
-                }
+        // rekey_interval_bytes policy: the segment that fills the interval
+        // advances the key window when it completes.  Everything already
+        // segmentized was (or will be) encrypted under the current epoch, so
+        // the caller must drain the pipeline before any further
+        // segmentation.  Segments already in the TCP ring (and any
+        // retransmissions of them) keep their old-epoch ciphertext — that is
+        // precisely what the receiver's two-epoch window absorbs.
+        slot.rekey = false;
+        if (rekey_interval_bytes_ != 0) {
+            bytes_since_rekey_ += wire;
+            if (bytes_since_rekey_ >= rekey_interval_bytes_) {
+                bytes_since_rekey_ = 0;
+                slot.rekey = flush_pending_ = true;
             }
         }
 
@@ -334,37 +297,29 @@ public:
         return true;
     }
 
-    // Stage B: the fused marshal+encrypt+checksum loop, writing straight
-    // into the reserved ring span.  Static and self-contained (everything it
+    // Stage B: the fill — the fused marshal+encrypt+checksum loop writing
+    // straight into the reserved ring span (or, serial layered sends, the
+    // pass-per-layer baseline).  Static and self-contained (everything it
     // reads lives in the slot) so it can run on a pipeline worker thread.
     static void fuse_slot(pipeline_slot& slot) {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (slot.secure) {
-                slot.payload_sum = fill_message_secure_ilp(
-                    *slot.mem, *slot.cipher, slot.epoch, slot.src, slot.plan,
-                    slot.pending.dst);
-                return;
-            }
-        }
         slot.payload_sum =
-            fill_message_ilp(*slot.mem, *slot.cipher, slot.src, slot.plan,
-                             slot.pending.dst);
+            fill_segment(slot.mode, *slot.mem, slot.key, slot.src, slot.plan,
+                         slot.pending.dst, slot.layered_staging);
     }
 
     // Stage C: publish the filled segment (transmit + retransmit arming) and
-    // perform the serial path's bookkeeping — the counter block here must
-    // stay line-for-line equivalent to send_message_[secure_]ilp +
-    // send_next_reply, or pipelined flows would diverge from serial digests.
+    // do the send's bookkeeping.
     void complete_segment(pipeline_slot& slot) {
         ILP_OBS_ATTR("server", obs_src_);
         reply_tx_.commit_segment(slot.pending, slot.payload_sum);
-        ++tx_counters_.messages;
-        tx_counters_.wire_bytes += slot.wire;
-        tx_counters_.fused_loop_bytes += slot.wire;
-        tx_counters_.cipher_bytes +=
-            slot.secure ? slot.wire - rpc::secure_trailer_bytes : slot.wire;
+        count_sent(tx_counters_, slot.mode, slot.plan.total_bytes, slot.wire);
         tx_counters_.payload_bytes += slot.payload_len;
-        maybe_rekey(slot.wire);
+        if (slot.rekey) {
+            keys_.advance();
+            ++sec_stats_.rekeys;
+            flush_pending_ = false;
+            ILP_OBS_INSTANT("crypto", "rekey");
+        }
     }
 
     // True when a segmentized segment will advance the key window at
@@ -379,7 +334,7 @@ public:
         for (const reply_job& job : jobs_) {
             if (!job.finished) {
                 return rpc::layout_reply(next_payload_len(job)).wire_bytes +
-                       trailer_bytes();
+                       keys_.trailer_bytes();
             }
         }
         return 0;
@@ -413,10 +368,7 @@ public:
         return sec_stats_;
     }
     crypto::key_epoch current_epoch() const noexcept {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (chain_.has_value()) return chain_->current_epoch();
-        }
-        return 0;
+        return keys_.current_epoch();
     }
 
 private:
@@ -428,57 +380,28 @@ private:
         bool finished = false;
     };
 
-    // Trailer overhead of the flow's framing (0 for plain / downgraded v2).
-    std::size_t trailer_bytes() const noexcept {
-        return secure_framing(secure_) ? rpc::secure_trailer_bytes : 0;
-    }
-
-    // Request-direction processor: secure framing decrypts under the
-    // epoch-free control key and verifies the tag; otherwise the classic
-    // path (with the KDF epoch-0 key when the flow is secure-but-v2).
-    // Wire is either a contiguous span (staged copy) or a const_ring_span
-    // chain (zero-copy loan); the receive-path overloads resolve by type.
+    // Request-direction processor: the flow's framing decides how the
+    // request is decrypted and judged (secure flows under the epoch-free
+    // control key).  Wire is either a contiguous span (staged copy) or a
+    // const_ring_span chain (zero-copy loan).
     template <typename Wire>
     tcp::rx_process_result process_request(const Wire& payload) {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (secure_framing(secure_)) {
-                secure_rx_status status;
-                const auto result = receive_request_secure(
-                    mode_, mem_, *control_cipher_, payload,
-                    request_staging_.span(), &status, rx_counters_);
-                if (status.cause == secure_rx_cause::tag_mismatch) {
-                    ++sec_stats_.tag_failures;
-                    ILP_OBS_INSTANT("crypto", "request_tag_mismatch");
-                }
-                return result;
-            }
+        secure_rx_status status;
+        const auto result =
+            keys_.receive_request(mode_, mem_, payload, request_staging_.span(),
+                                  &status, rx_counters_);
+        if (status.cause == secure_rx_cause::tag_mismatch) {
+            ++sec_stats_.tag_failures;
+            ILP_OBS_INSTANT("crypto", "request_tag_mismatch");
         }
-        return receive_request(mode_, mem_, request_cipher(), payload,
-                               request_staging_.span(), rx_counters_);
-    }
-
-    // The cipher the reply stream runs under: the keychain's current epoch
-    // key for secure flows, else the caller-provided static cipher.
-    const Cipher& data_cipher() const {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (chain_.has_value()) return chain_->current();
-        }
-        return *cipher_;
-    }
-
-    // The cipher the request direction runs under.
-    const Cipher& request_cipher() const {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (control_cipher_.has_value()) return *control_cipher_;
-        }
-        return *cipher_;
+        return result;
     }
 
     void on_request(std::size_t wire_len) {
         ILP_OBS_SPAN("app", "serve_request");
-        ILP_EXPECT(wire_len >= trailer_bytes());
+        ILP_EXPECT(wire_len >= keys_.trailer_bytes());
         const auto request = rpc::unmarshal_request(
-            request_staging_.subspan(0, wire_len - trailer_bytes()));
+            request_staging_.subspan(0, wire_len - keys_.trailer_bytes()));
         if (!request.has_value() || request->copy_count == 0 ||
             request->max_reply_payload == 0) {
             ++requests_rejected_;
@@ -486,21 +409,16 @@ private:
         }
         // Version pinning: the flow's negotiated framing decides which wire
         // version is acceptable; anything else is rejected explicitly.
-        const std::uint32_t expected_version = secure_framing(secure_)
-                                                   ? rpc::wire_version_secure
-                                                   : rpc::wire_version;
-        if (request->version != expected_version) {
+        if (request->version != keys_.wire_version()) {
             ++requests_rejected_;
             return;
         }
-        if constexpr (crypto::aead_capable<Cipher>) {
-            // A v3 request carries the client's epoch: re-centre the key
-            // window before replying (a server picking up a flow resumed
-            // after an outage must not answer under a retired epoch).
-            if (secure_framing(secure_) && chain_->adopt(request->key_epoch)) {
-                ++sec_stats_.epoch_adoptions;
-                ILP_OBS_INSTANT("crypto", "epoch_adopted");
-            }
+        // A v3 request carries the client's epoch: re-centre the key window
+        // before replying (a server picking up a flow resumed after an
+        // outage must not answer under a retired epoch).
+        if (keys_.adopt(request->key_epoch)) {
+            ++sec_stats_.epoch_adoptions;
+            ILP_OBS_INSTANT("crypto", "epoch_adopted");
         }
         const std::vector<std::byte>* file = store_->find(request->filename);
         if (file == nullptr) {
@@ -565,92 +483,21 @@ private:
                                      job.request.max_reply_payload);
     }
 
-    // Sends the next segment of `job`; returns false when TCP is out of
-    // buffer/window space (retry later) or the job just finished.
-    bool send_next_reply(reply_job& job) {
-        if (job.finished) return true;
-        ILP_OBS_SPAN("app", "reply_segment");
-        const std::size_t remaining = job.file->size() - job.offset;
-        const std::size_t payload_len = std::min<std::size_t>(
-            remaining, job.request.max_reply_payload);
-
-        rpc::reply_header header;
-        header.request_id = job.request.request_id;
-        header.copy_index = job.copy;
-        header.offset = static_cast<std::uint32_t>(job.offset);
-        header.total_bytes = static_cast<std::uint32_t>(job.file->size());
-
-        rpc::reply_staging staging;
-        const core::gather_source src = rpc::make_reply_source(
-            header, {job.file->data() + job.offset, payload_len}, staging);
-        const rpc::reply_layout layout = rpc::layout_reply(payload_len);
-
-        bool sent = false;
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (secure_framing(secure_)) {
-                sent = send_message_secure(
-                    mode_, reply_tx_, mem_, chain_->current(),
-                    chain_->current_epoch(), src, layout.plan, workspace_,
-                    tx_counters_);
-            } else {
-                sent = send_message(mode_, reply_tx_, mem_, data_cipher(), src,
-                                    layout.plan, workspace_, tx_counters_);
-            }
-        } else {
-            sent = send_message(mode_, reply_tx_, mem_, *cipher_, src,
-                                layout.plan, workspace_, tx_counters_);
-        }
-        if (!sent) {
-            return false;  // delayed until buffer space is available (§3.2.2)
-        }
-        tx_counters_.payload_bytes += payload_len;
-        maybe_rekey(layout.wire_bytes + trailer_bytes());
-
-        job.offset += payload_len;
-        if (job.offset >= job.file->size()) {
-            job.offset = 0;
-            if (++job.copy >= job.request.copy_count) job.finished = true;
-        }
-        return true;
-    }
-
-    // rekey_interval_bytes policy: after enough reply-stream bytes, advance
-    // the key window.  Segments already in the TCP ring (and any
-    // retransmissions of them) keep their old-epoch ciphertext — that is
-    // precisely what the receiver's two-epoch window absorbs.
-    void maybe_rekey(std::size_t sent_wire_bytes) {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (!secure_framing(secure_) || secure_.rekey_interval_bytes == 0) {
-                return;
-            }
-            bytes_since_rekey_ += sent_wire_bytes;
-            if (bytes_since_rekey_ < secure_.rekey_interval_bytes) return;
-            bytes_since_rekey_ = 0;
-            chain_->advance();
-            ++sec_stats_.rekeys;
-            flush_pending_ = false;  // the predicted advance happened
-            ILP_OBS_INSTANT("crypto", "rekey");
-        }
-    }
-
     Mem mem_;
     const memsim::memory_system* obs_src_ = obs::attribution_source(mem_);
-    const Cipher* cipher_;
+    flow_keys<Cipher> keys_;
+    // Reply-stream bytes between key-window advances; 0 when the flow never
+    // rekeys (plain, or negotiated down to v2).
+    const std::uint64_t rekey_interval_bytes_;
     path_mode mode_;
     const file_store* store_;
-    secure_params secure_;
-    std::optional<crypto::keychain<Cipher>> chain_;
-    std::optional<Cipher> control_cipher_;
     secure_flow_stats sec_stats_;
-    std::uint64_t bytes_since_rekey_ = 0;
-    // Stage-A mirror of bytes_since_rekey_ (counts reserved-but-uncompleted
-    // segments too) and the drain flag it raises at each predicted advance.
-    std::uint64_t predicted_bytes_since_rekey_ = 0;
-    bool flush_pending_ = false;
+    std::uint64_t bytes_since_rekey_ = 0;  // segmentized since the last rekey
+    bool flush_pending_ = false;  // a segmentized segment will rekey
     std::uint32_t request_isn_;
     tcp::tcp_receiver<Mem> request_rx_;
     tcp::tcp_sender<Mem> reply_tx_;
-    send_workspace workspace_;
+    byte_buffer layered_staging_;
     byte_buffer request_staging_;
     std::deque<reply_job> jobs_;
     bool auto_pump_ = true;
@@ -678,25 +525,14 @@ public:
                 const retry_policy& retry = {},
                 const secure_params& secure = {})
         : mem_(mem),
-          cipher_(&cipher),
+          keys_(cipher, secure),
           mode_(mode),
           clock_(&clock),
           policy_(retry),
-          secure_(secure),
           request_isn_(request_cfg.initial_seq),
           request_tx_(mem, clock, request_data_out, request_cfg),
           reply_rx_(mem, clock, reply_ack_out, reply_cfg),
-          workspace_(net::datagram_pipe::max_packet_bytes) {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (secure_.enabled) {
-                chain_.emplace(secure_.flow_secret);
-                control_cipher_.emplace(
-                    crypto::derive_control_cipher<Cipher>(
-                        secure_.flow_secret));
-            }
-        } else {
-            ILP_EXPECT(!secure_.enabled);
-        }
+          layered_staging_(net::datagram_pipe::max_packet_bytes) {
         request_tx_.set_attribution("client", obs_src_);
         reply_rx_.set_processor([this](std::span<std::byte> payload) {
             return process_reply(payload);
@@ -766,8 +602,7 @@ public:
         ILP_OBS_SPAN("rpc", "request");
         rpc::file_request r = request;
         r.reply_isn = reply_rx_.expected_seq();
-        r.version = secure_framing(secure_) ? rpc::wire_version_secure
-                                            : rpc::wire_version;
+        r.version = keys_.wire_version();
         r.key_epoch = current_epoch();
         if (!issue_request(r)) return false;
         state_.request = r;
@@ -871,10 +706,7 @@ public:
         return sec_stats_;
     }
     crypto::key_epoch current_epoch() const noexcept {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (chain_.has_value()) return chain_->current_epoch();
-        }
-        return 0;
+        return keys_.current_epoch();
     }
 
 private:
@@ -918,21 +750,11 @@ private:
         };
 
         rpc::reply_header header;
-        tcp::rx_process_result result;
+        secure_rx_status status;
         const std::uint64_t payload_before = rx_counters_.payload_bytes;
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (secure_framing(secure_)) {
-                secure_rx_status status;
-                result = receive_reply_secure(mode_, mem_, *chain_, payload,
-                                              resolve, &header, &status,
-                                              rx_counters_);
-                note_secure_status(status);
-            } else {
-                result = plain_receive_reply(payload, resolve, &header);
-            }
-        } else {
-            result = plain_receive_reply(payload, resolve, &header);
-        }
+        const tcp::rx_process_result result = keys_.receive_reply(
+            mode_, mem_, payload, resolve, &header, &status, rx_counters_);
+        note_secure_status(status);
         // Remember what this reply would contribute; it is committed only if
         // TCP's final stage accepts the segment.
         if (result.ok) {
@@ -974,43 +796,6 @@ private:
         last_progress_us_ = clock_->now();
     }
 
-    // The classic (trailer-less) reply receive, under the keychain's key for
-    // secure-but-v2 flows and the static cipher otherwise.  A chain wire can
-    // only reach the data path in ILP mode (the chain processor is installed
-    // only then; layered deliveries get a staged copy from the TCP layer).
-    template <typename Wire, typename Resolver>
-    tcp::rx_process_result plain_receive_reply(const Wire& payload,
-                                               Resolver&& resolve,
-                                               rpc::reply_header* header) {
-        if constexpr (std::is_same_v<std::decay_t<Wire>, const_ring_span>) {
-            ILP_EXPECT(mode_ == path_mode::ilp);
-            return receive_reply_ilp(mem_, data_cipher(), payload, resolve,
-                                     header, rx_counters_);
-        } else {
-            if (mode_ == path_mode::ilp) {
-                return receive_reply_ilp(mem_, data_cipher(), payload,
-                                         resolve, header, rx_counters_);
-            }
-            return receive_reply_layered(mem_, data_cipher(), payload,
-                                         resolve, header, rx_counters_);
-        }
-    }
-
-    const Cipher& data_cipher() const {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (chain_.has_value()) return chain_->current();
-        }
-        return *cipher_;
-    }
-
-    // Request-direction key; must mirror the server's request_cipher().
-    const Cipher& request_cipher() const {
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (control_cipher_.has_value()) return *control_cipher_;
-        }
-        return *cipher_;
-    }
-
     // Folds one secure receive verdict into the counters/metrics; every
     // explicit failure cause leaves a distinct trace.
     void note_secure_status(const secure_rx_status& status) {
@@ -1050,18 +835,16 @@ private:
         src.add({wire, *wire_len});
         const core::message_plan plan = core::plan_parts(
             rpc::validate_enc_header(load_be32(wire), *wire_len).value());
-        if constexpr (crypto::aead_capable<Cipher>) {
-            if (secure_framing(secure_)) {
-                // Requests run under the epoch-free control key; the trailer
-                // carries the client's data epoch for the server's window.
-                return send_message_secure(mode_, request_tx_, mem_,
-                                           *control_cipher_, current_epoch(),
-                                           src, plan, workspace_,
-                                           tx_counters_);
-            }
-        }
-        return send_message(mode_, request_tx_, mem_, request_cipher(), src,
-                            plan, workspace_, tx_counters_);
+        const std::size_t wire_bytes = plan.total_bytes + keys_.trailer_bytes();
+        const auto pending = request_tx_.reserve_segment(wire_bytes);
+        if (!pending.has_value()) return false;
+        const seal_key<Cipher> key = keys_.request_key();
+        ILP_OBS_SPAN("app", send_span(key, mode_));
+        request_tx_.commit_segment(
+            *pending, fill_segment(mode_, mem_, key, src, plan, pending->dst,
+                                   layered_staging_.subspan(0, wire_bytes)));
+        count_sent(tx_counters_, mode_, plan.total_bytes, wire_bytes);
+        return true;
     }
 
     // Highest contiguously committed offset in the reply stream (copies
@@ -1124,18 +907,15 @@ private:
 
     Mem mem_;
     const memsim::memory_system* obs_src_ = obs::attribution_source(mem_);
-    const Cipher* cipher_;
+    flow_keys<Cipher> keys_;
     path_mode mode_;
     virtual_clock* clock_;
     retry_policy policy_;
-    secure_params secure_;
-    std::optional<crypto::keychain<Cipher>> chain_;
-    std::optional<Cipher> control_cipher_;
     secure_flow_stats sec_stats_;
     std::uint32_t request_isn_;
     tcp::tcp_sender<Mem> request_tx_;
     tcp::tcp_receiver<Mem> reply_rx_;
-    send_workspace workspace_;
+    byte_buffer layered_staging_;
     transfer_state state_;
     unsigned attempt_ = 0;
     sim_time last_progress_us_ = 0;

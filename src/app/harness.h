@@ -91,6 +91,8 @@ struct transfer_result {
     std::uint64_t reply_messages = 0;
     path_counters server_send;    // the paper's "send" side
     path_counters client_receive;  // the paper's "receive" side
+    path_counters server_request;  // request direction, server receive
+    path_counters client_request;  // request direction, client send
     tcp::sender_stats reply_tcp_sender;
     tcp::receiver_stats reply_tcp_receiver;
     net::pipe_stats reply_pipe;
@@ -191,6 +193,8 @@ transfer_result run_transfer(const transfer_config& config,
     result.payload_bytes_delivered = client.bytes_received();
     result.server_send = server.send_counters();
     result.client_receive = client.receive_counters();
+    result.server_request = server.request_counters();
+    result.client_request = client.request_send_counters();
     result.reply_tcp_sender = server.reply_tcp_stats();
     result.reply_tcp_receiver = client.reply_tcp_stats();
     result.reply_pipe = reply_link.forward().stats();

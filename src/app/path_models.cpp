@@ -61,49 +61,59 @@ std::vector<analysis::finding> register_app_pipelines(
     analysis::pipeline_registry& registry) {
     using namespace analysis;
     std::vector<finding> all;
-    const auto take = [&all](std::vector<finding> f) {
+    const auto add = [&all, &registry](pipeline_model m) {
+        const std::vector<finding> f = registry.add(std::move(m));
         all.insert(all.end(), f.begin(), f.end());
     };
-
-    // The ILP send path: marshal+encrypt+checksum in one loop, parts
-    // processed B, C, A (send_path.h, §3.2.2).
-    using send_loop = core::fused_pipeline<enc, core::checksum_tap8>;
-    {
+    const std::size_t total =
+        core::plan_parts(representative_marshalled).total_bytes;
+    // Fused send loops process the parts B, C, A (§3.2.2).  The fused reply
+    // receive runs in two linear phases split at the 24-byte header region;
+    // the split is a part cut and must clear the same geometry rules as the
+    // send plan.
+    const auto fused_send = [&add](const char* name, const char* site,
+                                   std::vector<footprint> stages,
+                                   std::size_t unit) {
         pipeline_model m =
-            model("app-send-ilp", "src/app/send_path.h:send_message_ilp",
-                  pipeline_kind::fused, send_loop::footprints(),
-                  send_loop::unit_bytes);
+            model(name, site, pipeline_kind::fused, std::move(stages), unit);
         m.out_of_order_parts = true;
         m.parts = ilp_parts();
-        take(registry.add(std::move(m)));
-    }
-
-    // Early send: same composition, but part B streams into the ring while
-    // the application is still producing; flush() finishes C then A.
-    {
-        pipeline_model m = model(
-            "app-send-early", "src/app/early_send.h:early_send_state::prepare",
-            pipeline_kind::fused, send_loop::footprints(),
-            send_loop::unit_bytes);
-        m.out_of_order_parts = true;
-        m.parts = ilp_parts();
-        take(registry.add(std::move(m)));
-    }
-
-    // The ILP reply receive path: checksum+decrypt+unmarshal fused, run in
-    // two linear phases split at the 24-byte header region.  The split is a
-    // part cut and must clear the same geometry rules as the send plan.
-    using recv_loop = core::fused_pipeline<core::checksum_tap8, dec>;
-    {
-        const std::size_t total =
-            core::plan_parts(representative_marshalled).total_bytes;
-        pipeline_model m = model(
-            "app-recv-reply-ilp", "src/app/receive_path.h:receive_reply_ilp",
-            pipeline_kind::fused, recv_loop::footprints(),
-            recv_loop::unit_bytes);
+        add(std::move(m));
+    };
+    const auto fused_receive = [&add, total](const char* name,
+                                             const char* site,
+                                             std::vector<footprint> stages,
+                                             std::size_t unit) {
+        pipeline_model m =
+            model(name, site, pipeline_kind::fused, std::move(stages), unit);
         m.parts = {{0, 24}, {24, total - 24}};
-        take(registry.add(std::move(m)));
-    }
+        add(std::move(m));
+    };
+    // Layered baselines: each pass touches the full message once; the
+    // analyzer records them for inventory and table-pressure accounting but
+    // the fused-only rules (R1/R3 geometry, W3) do not apply.
+    const auto layered = [&add](const char* name, const char* site,
+                                std::vector<footprint> stages) {
+        add(model(name, site, pipeline_kind::layered, std::move(stages), 8));
+    };
+
+    // The ILP send path: marshal+encrypt+checksum in one loop.
+    using send_loop = core::fused_pipeline<enc, core::checksum_tap8>;
+    fused_send("app-send-ilp", "src/app/send_path.h:fill_message_ilp",
+               send_loop::footprints(), send_loop::unit_bytes);
+
+    // Early send: the manipulation half runs ahead of buffer space —
+    // prepare() encrypts the parts B, C, A into a staging area, and
+    // try_flush() checksums on the copy into the ring once space frees up.
+    using early_loop = core::fused_pipeline<enc>;
+    fused_send("app-send-early", "src/app/early_send.h:early_sender::prepare",
+               early_loop::footprints(), early_loop::unit_bytes);
+
+    // The ILP reply receive path: checksum+decrypt+unmarshal fused.
+    using recv_loop = core::fused_pipeline<core::checksum_tap8, dec>;
+    fused_receive("app-recv-reply-ilp",
+                  "src/app/receive_path.h:receive_reply_ilp",
+                  recv_loop::footprints(), recv_loop::unit_bytes);
 
     // Request receive: one linear fused pass over the whole wire image.
     {
@@ -111,9 +121,8 @@ std::vector<analysis::finding> register_app_pipelines(
             "app-recv-request-ilp", "src/app/receive_path.h:receive_request",
             pipeline_kind::fused, recv_loop::footprints(),
             recv_loop::unit_bytes);
-        m.parts = {
-            {0, core::plan_parts(representative_marshalled).total_bytes}};
-        take(registry.add(std::move(m)));
+        m.parts = {{0, total}};
+        add(std::move(m));
     }
 
     // The word-filter baseline (bench_ablation_unit_size): an actual chain
@@ -134,64 +143,32 @@ std::vector<analysis::finding> register_app_pipelines(
         core::sink_word_filter<memsim::direct_memory> sink(sink_buf);
         enc_filter.set_next(&sum_filter);
         sum_filter.set_next(&sink);
-        pipeline_model m = model(
-            "app-wordchain-baseline",
-            "bench/bench_ablation_unit_size.cpp:run_word_filter_chain",
-            pipeline_kind::word_chain, core::chain_footprints(enc_filter), 4);
-        take(registry.add(std::move(m)));
+        add(model("app-wordchain-baseline",
+                  "bench/bench_ablation_unit_size.cpp:main",
+                  pipeline_kind::word_chain, core::chain_footprints(enc_filter),
+                  4));
     }
 
     // Secure (AEAD) paths: the keystream+tag cipher replaces the block
-    // cipher inside the same fused compositions, so the B,C,A send order
-    // and the two-phase receive split must clear the same geometry rules.
-    // The 8-byte clear trailer is outside these loops (a separate mini-pass
-    // in secure_path.h), so the body geometry is unchanged.
+    // cipher inside the same compositions.  The 8-byte clear trailer is
+    // outside the fused loops (a separate mini-pass after the body), so the
+    // body geometry is unchanged.
     using aead_send_loop = core::fused_pipeline<aead_enc, core::checksum_tap8>;
-    {
-        pipeline_model m = model(
-            "app-send-secure-ilp",
-            "src/app/secure_path.h:send_message_secure_ilp",
-            pipeline_kind::fused, aead_send_loop::footprints(),
-            aead_send_loop::unit_bytes);
-        m.out_of_order_parts = true;
-        m.parts = ilp_parts();
-        take(registry.add(std::move(m)));
-    }
+    fused_send("app-send-secure-ilp",
+               "src/app/secure_path.h:fill_message_secure_ilp",
+               aead_send_loop::footprints(), aead_send_loop::unit_bytes);
     using aead_recv_loop = core::fused_pipeline<core::checksum_tap8, aead_dec>;
-    {
-        const std::size_t total =
-            core::plan_parts(representative_marshalled).total_bytes;
-        pipeline_model m = model(
-            "app-recv-secure-ilp",
-            "src/app/secure_path.h:receive_reply_secure_ilp",
-            pipeline_kind::fused, aead_recv_loop::footprints(),
-            aead_recv_loop::unit_bytes);
-        m.parts = {{0, 24}, {24, total - 24}};
-        take(registry.add(std::move(m)));
-    }
-    {
-        pipeline_model m = model(
-            "app-send-secure-layered",
-            "src/app/secure_path.h:send_message_secure_layered",
-            pipeline_kind::layered,
-            {analysis::footprint_of<core::xdr_encode_stage>(),
-             analysis::footprint_of<aead_enc>(),
-             analysis::footprint_of<core::opaque_stage>(),
-             analysis::footprint_of<core::checksum_tap8>()},
-            8);
-        take(registry.add(std::move(m)));
-    }
-    {
-        pipeline_model m = model(
-            "app-recv-secure-layered",
+    fused_receive("app-recv-secure-ilp",
+                  "src/app/secure_path.h:receive_reply_secure_ilp",
+                  aead_recv_loop::footprints(), aead_recv_loop::unit_bytes);
+    layered("app-send-secure-layered", "src/app/send_path.h:fill_layered",
+            {footprint_of<core::xdr_encode_stage>(), footprint_of<aead_enc>(),
+             footprint_of<core::opaque_stage>(),
+             footprint_of<core::checksum_tap8>()});
+    layered("app-recv-secure-layered",
             "src/app/secure_path.h:receive_reply_secure_layered",
-            pipeline_kind::layered,
-            {analysis::footprint_of<core::checksum_tap8>(),
-             analysis::footprint_of<aead_dec>(),
-             analysis::footprint_of<core::xdr_decode_stage>()},
-            8);
-        take(registry.add(std::move(m)));
-    }
+            {footprint_of<core::checksum_tap8>(), footprint_of<aead_dec>(),
+             footprint_of<core::xdr_decode_stage>()});
 
     // Runtime-assembled flow graphs, folded through the composition engine
     // and registered under their graph names.  These are the exact graphs
@@ -203,8 +180,8 @@ std::vector<analysis::finding> register_app_pipelines(
         secure_params secure;
         secure.enabled = true;
         secure.flow_secret = 1;
-        const auto composed = [&take, &registry](analysis::stage_graph g) {
-            take(registry.add(analysis::compose_and_check(g).composed));
+        const auto composed = [&add](const stage_graph& g) {
+            add(compose_and_check(g).composed);
         };
         composed(flow_send_graph<crypto::safer_k64>(classic,
                                                     compose_tap::none, 0));
@@ -219,32 +196,14 @@ std::vector<analysis::finding> register_app_pipelines(
                                                     compose_tap::inet2, 0));
     }
 
-    // Layered baselines: each pass touches the full message once; the
-    // analyzer records them for inventory and table-pressure accounting but
-    // the fused-only rules (R1/R3 geometry, W3) do not apply.
-    {
-        pipeline_model m = model(
-            "app-send-layered", "src/app/send_path.h:send_message_layered",
-            pipeline_kind::layered,
-            {analysis::footprint_of<core::xdr_encode_stage>(),
-             analysis::footprint_of<enc>(),
-             analysis::footprint_of<core::opaque_stage>(),
-             analysis::footprint_of<core::checksum_tap8>()},
-            8);
-        take(registry.add(std::move(m)));
-    }
-    {
-        pipeline_model m = model(
-            "app-recv-reply-layered",
+    layered("app-send-layered", "src/app/send_path.h:fill_layered",
+            {footprint_of<core::xdr_encode_stage>(), footprint_of<enc>(),
+             footprint_of<core::opaque_stage>(),
+             footprint_of<core::checksum_tap8>()});
+    layered("app-recv-reply-layered",
             "src/app/receive_path.h:receive_reply_layered",
-            pipeline_kind::layered,
-            {analysis::footprint_of<core::checksum_tap8>(),
-             analysis::footprint_of<dec>(),
-             analysis::footprint_of<core::xdr_decode_stage>()},
-            8);
-        take(registry.add(std::move(m)));
-    }
-
+            {footprint_of<core::checksum_tap8>(), footprint_of<dec>(),
+             footprint_of<core::xdr_decode_stage>()});
     return all;
 }
 

@@ -1,10 +1,13 @@
-// Receiving-side data paths (paper Fig. 5).
+// Receiving-side data paths (paper Fig. 5), written once over a wire framing
+// policy (framing.h).
 //
-// Both paths run as the tcp_receiver's processor: after the system copy and
+// Every path runs as the tcp_receiver's processor: after the system copy and
 // header parse (initial stage) and before TCP commits anything (final
 // stage).  They must *always* return the folded checksum of the complete
-// ciphertext payload — even when the message is malformed — because the
-// final stage needs it for the accept/reject verdict.
+// wire payload — even when the message is malformed, stale or forged —
+// because the final stage needs it for the accept/reject verdict.  Framing
+// decides what is judged on top: v2 only the structure, v3 the epoch window
+// and the tag as well (secure_path.h lists the verdicts).
 //
 //   ILP:      checksum + decrypt + unmarshal fused into the copy out of the
 //             receive buffer.  The first cipher blocks are decrypted first
@@ -12,25 +15,29 @@
 //             header ("as soon as enough data is decrypted for
 //             unmarshalling, it performs the appropriate unmarshalling
 //             operations", §3.2.3), then the rest streams straight into the
-//             application's destination buffer.
+//             application's destination buffer.  The wire is a loaned
+//             kernel-segment chain (zero-copy) or a single-piece chain over
+//             a staged copy; both run the same accesses.
 //
 //   layered:  1. checksum pass        receive buffer        (r)
 //             2. decryption pass      in place              (r/w)
 //             3. unmarshal + copy     buffer -> application (r/w)
+//
+// receive_reply_ilp / receive_reply_layered are the v2 entry points;
+// secure_path.h adds the v3 ones and picks the framing per flow.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 
-#include "app/path_mode.h"
+#include "app/framing.h"
 #include "checksum/internet_checksum.h"
 #include "core/fused_pipeline.h"
 #include "core/layered_path.h"
 #include "core/stage.h"
-#include "crypto/block_cipher.h"
 #include "obs/tracer.h"
 #include "rpc/messages.h"
-#include "tcp/connection.h"
 
 namespace ilp::app {
 
@@ -68,36 +75,44 @@ struct reply_header_staging {
     }
 };
 
-// Folds the untouched remainder of the wire into the accumulator so TCP can
-// still verdict a malformed message, and reports failure.
-template <memsim::memory_policy Mem>
-tcp::rx_process_result fail_with_remainder(const Mem& mem,
-                                           checksum::inet_accumulator& acc,
-                                           std::span<std::byte> wire,
-                                           std::size_t from,
-                                           path_counters& counters) {
-    core::checksum_pass(mem, acc, wire.subspan(from), 8);
-    counters.checksum_pass_bytes += wire.size() - from;
-    return {acc.folded(), false};
+// Body-phase destination: the opaque length word, the payload (straight
+// into the application's buffer) and the discarded padding.
+inline core::scatter_dest reply_body_dest(std::uint32_t& opaque_len,
+                                          std::span<std::byte> payload,
+                                          std::size_t body) {
+    core::scatter_dest dst;
+    dst.add({reinterpret_cast<std::byte*>(&opaque_len), 4},
+            core::segment_op::xdr_words);
+    if (!payload.empty()) dst.add(payload);
+    const std::size_t pad = body - rpc::reply_payload_offset - payload.size();
+    if (pad > 0) dst.add_discard(pad);
+    return dst;
 }
 
-// Gather-source form, for the zero-copy chain paths: checksums the
-// remainder segment by segment (the accumulator's odd-parity tracking makes
-// that correct for any chain split).  On a single-segment source this runs
-// the exact same accesses as the span form above.
-template <memsim::memory_policy Mem>
-tcp::rx_process_result fail_with_remainder(const Mem& mem,
-                                           checksum::inet_accumulator& acc,
-                                           const core::gather_source& wire,
-                                           std::size_t from,
-                                           path_counters& counters) {
-    const std::size_t n = wire.total_size();
-    for (const core::gather_segment& s :
-         wire.slice(from, n - from).segments()) {
-        acc.add_bytes(mem, std::span<const std::byte>{s.data, s.len}, 8);
+// A delivery as a chain: a zero-copy loan already is one, a staged copy is
+// its single piece.
+inline const_ring_span as_chain(const const_ring_span& wire) { return wire; }
+inline const_ring_span as_chain(std::span<const std::byte> wire) {
+    return {wire, {}};
+}
+
+// The verdict both reply paths end in once the body is unmarshalled.
+template <typename Framing, typename Opener>
+tcp::rx_process_result finish_reply(Opener& open,
+                                    checksum::inet_accumulator& acc,
+                                    bool well_formed,
+                                    const rpc::reply_header& header,
+                                    std::size_t payload_bytes,
+                                    rpc::reply_header* out_header,
+                                    secure_rx_status* status,
+                                    path_counters& counters) {
+    if (well_formed) open.accept(status);
+    if (well_formed || !Framing::authenticated) {
+        ++counters.messages;
+        counters.payload_bytes += payload_bytes;
+        if (out_header != nullptr) *out_header = header;
     }
-    counters.checksum_pass_bytes += n - from;
-    return {acc.folded(), false};
+    return {acc.folded(), well_formed};
 }
 
 }  // namespace detail
@@ -105,31 +120,39 @@ tcp::rx_process_result fail_with_remainder(const Mem& mem,
 // ---------------------------------------------------------------------------
 // Reply receive paths
 
-// Primary (zero-copy) form: the wire arrives as a loaned kernel-segment
-// chain — up to two spans around the receive-ring wrap — and the fused loop
-// reads it in place, exactly once, with no reassembly copy.  The contiguous
-// overload below delegates here with a single-piece chain, so the copying
-// mode runs the identical access sequence it always has.
-template <memsim::memory_policy Mem, crypto::block_cipher Cipher,
+// The fused reply receive.  Any trailer is decoded off the chain before the
+// loop starts (rule R2: every header and trailer size is known up front), so
+// the loop streams the ciphertext in place with no reassembly.
+template <typename Framing, memsim::memory_policy Mem, typename Key,
           reply_dest_resolver Resolver>
-tcp::rx_process_result receive_reply_ilp(const Mem& mem, const Cipher& cipher,
-                                         const const_ring_span& wire,
-                                         Resolver&& resolve,
-                                         rpc::reply_header* out_header,
-                                         path_counters& counters) {
+tcp::rx_process_result receive_ilp(const Mem& mem, Key& key,
+                                   const const_ring_span& wire,
+                                   Resolver&& resolve,
+                                   rpc::reply_header* out_header,
+                                   secure_rx_status* status,
+                                   path_counters& counters) {
     const std::size_t n = wire.size();
     counters.wire_bytes += n;
-    ILP_OBS_SPAN("app", "receive_ilp");
+    ILP_OBS_SPAN("app", Framing::spans.receive_ilp);
     checksum::inet_accumulator acc;
+    if (status != nullptr) *status = {};
     const core::gather_source src = core::chain_source(wire);
-    if (n < rpc::reply_payload_offset + 4 ||
+    if (n < rpc::reply_payload_offset + 4 + Framing::trailer_bytes ||
         n % core::encryption_unit_bytes != 0) {
         return detail::fail_with_remainder(mem, acc, src, 0, counters);
     }
+    const std::size_t body = n - Framing::trailer_bytes;
+    typename Framing::opener open(
+        key, wire.subspan(body, Framing::trailer_bytes), status);
+    if (!open.has_key()) {
+        // Stale epoch: nothing to decrypt; checksum everything so TCP can
+        // verdict.
+        return detail::fail_with_remainder(mem, acc, src, 0, counters);
+    }
 
-    core::checksum_tap8 tap(acc);            // over the ciphertext...
-    core::decrypt_stage<Cipher> dec(cipher);  // ...then decrypt
-    auto loop = core::make_pipeline(tap, dec);
+    core::checksum_tap8 tap(acc);  // over the ciphertext...
+    auto decrypt = open.stage();   // ...then decrypt
+    auto loop = core::make_pipeline(tap, decrypt);
     // The two-phase split at reply_header_region is itself a part cut; it
     // must land on a cipher-block boundary (analyzer rule R3).
     static_assert(detail::reply_header_region %
@@ -148,73 +171,54 @@ tcp::rx_process_result receive_reply_ilp(const Mem& mem, const Cipher& cipher,
     counters.fused_loop_bytes += detail::reply_header_region;
     counters.cipher_bytes += detail::reply_header_region;
 
-    const auto marshalled = rpc::validate_enc_header(staging.words[0], n);
+    const auto marshalled = rpc::validate_enc_header(staging.words[0], body);
     const rpc::reply_header header = staging.to_header();
-    if (!marshalled.has_value() ||
-        *marshalled < rpc::reply_payload_offset ||
+    if (!marshalled.has_value() || *marshalled < rpc::reply_payload_offset ||
         header.msg_type != rpc::msg_type_reply) {
-        return detail::fail_with_remainder(
-            mem, acc, src, detail::reply_header_region, counters);
+        return open.fail(mem, loop, acc, src, detail::reply_header_region,
+                         status, counters);
     }
-    const std::size_t payload_bytes =
-        *marshalled - rpc::reply_payload_offset;
+    const std::size_t payload_bytes = *marshalled - rpc::reply_payload_offset;
     const std::span<std::byte> dest = resolve(header, payload_bytes);
     if (dest.size() != payload_bytes) {
-        return detail::fail_with_remainder(
-            mem, acc, src, detail::reply_header_region, counters);
+        return open.fail(mem, loop, acc, src, detail::reply_header_region,
+                         status, counters);
     }
 
-    // Phase 2: the opaque length word, the payload (straight into the
-    // application's buffer) and the discarded padding.
+    // Phase 2: the rest of the body, then the clear trailer's checksum.
     std::uint32_t opaque_len = 0;
     {
         ILP_OBS_SPAN("app", "receive_body_phase");
-        core::scatter_dest dst;
-        dst.add({reinterpret_cast<std::byte*>(&opaque_len), 4},
-                core::segment_op::xdr_words);
-        if (payload_bytes > 0) dst.add(dest);
-        const std::size_t pad = n - rpc::reply_payload_offset - payload_bytes;
-        if (pad > 0) dst.add_discard(pad);
         loop.run(mem,
                  src.slice(detail::reply_header_region,
-                           n - detail::reply_header_region),
-                 dst);
+                           body - detail::reply_header_region),
+                 detail::reply_body_dest(opaque_len, dest, body));
     }
-    const std::size_t body = n - detail::reply_header_region;
-    counters.fused_loop_bytes += body;
-    counters.cipher_bytes += body;
-    ++counters.messages;
-    counters.payload_bytes += payload_bytes;
-
-    if (out_header != nullptr) *out_header = header;
-    return {acc.folded(), opaque_len == payload_bytes};
+    counters.fused_loop_bytes += body - detail::reply_header_region;
+    counters.cipher_bytes += body - detail::reply_header_region;
+    detail::checksum_rest(mem, acc, src, body, counters);
+    if (!open.tag_ok(status)) return {acc.folded(), false};
+    return detail::finish_reply<Framing>(open, acc,
+                                         opaque_len == payload_bytes, header,
+                                         payload_bytes, out_header, status,
+                                         counters);
 }
 
-// Contiguous overload (the staged-copy mode and all unit fixtures).
-template <memsim::memory_policy Mem, crypto::block_cipher Cipher,
+// The layered reply receive: checksum pass (trailer included), cipher pass
+// in place (tag included), unmarshal passes.
+template <typename Framing, memsim::memory_policy Mem, typename Key,
           reply_dest_resolver Resolver>
-tcp::rx_process_result receive_reply_ilp(const Mem& mem, const Cipher& cipher,
-                                         std::span<std::byte> wire,
-                                         Resolver&& resolve,
-                                         rpc::reply_header* out_header,
-                                         path_counters& counters) {
-    return receive_reply_ilp(mem, cipher, const_ring_span{wire, {}},
-                             std::forward<Resolver>(resolve), out_header,
-                             counters);
-}
-
-template <memsim::memory_policy Mem, crypto::block_cipher Cipher,
-          reply_dest_resolver Resolver>
-tcp::rx_process_result receive_reply_layered(const Mem& mem,
-                                             const Cipher& cipher,
-                                             std::span<std::byte> wire,
-                                             Resolver&& resolve,
-                                             rpc::reply_header* out_header,
-                                             path_counters& counters) {
+tcp::rx_process_result receive_layered(const Mem& mem, Key& key,
+                                       std::span<std::byte> wire,
+                                       Resolver&& resolve,
+                                       rpc::reply_header* out_header,
+                                       secure_rx_status* status,
+                                       path_counters& counters) {
     const std::size_t n = wire.size();
     counters.wire_bytes += n;
-    ILP_OBS_SPAN("app", "receive_layered");
+    ILP_OBS_SPAN("app", Framing::spans.receive_layered);
     checksum::inet_accumulator acc;
+    if (status != nullptr) *status = {};
 
     // Pass 1: checksum over the ciphertext.
     {
@@ -222,19 +226,24 @@ tcp::rx_process_result receive_reply_layered(const Mem& mem,
         core::checksum_pass(mem, acc, wire, 8);
     }
     counters.checksum_pass_bytes += n;
-    if (n < rpc::reply_payload_offset + 4 ||
+    if (n < rpc::reply_payload_offset + 4 + Framing::trailer_bytes ||
         n % core::encryption_unit_bytes != 0) {
         return {acc.folded(), false};
     }
+    const std::size_t body = n - Framing::trailer_bytes;
+    typename Framing::opener open(key, const_ring_span{wire.subspan(body), {}},
+                                  status);
+    if (!open.has_key()) return {acc.folded(), false};
 
     // Pass 2: decrypt in place.
     {
         ILP_OBS_SPAN("app", "cipher_pass");
-        core::decrypt_stage<Cipher> dec(cipher);
-        core::apply_stage_in_place(mem, dec, wire);
+        auto decrypt = open.stage();
+        core::apply_stage_in_place(mem, decrypt, wire.first(body));
     }
-    counters.cipher_pass_bytes += n;
-    counters.cipher_bytes += n;
+    counters.cipher_pass_bytes += body;
+    counters.cipher_bytes += body;
+    if (!open.tag_ok(status)) return {acc.folded(), false};
 
     // Pass 3: unmarshal + copy.  Headers first...
     detail::reply_header_staging staging;
@@ -247,15 +256,13 @@ tcp::rx_process_result receive_reply_layered(const Mem& mem,
     }
     counters.marshal_pass_bytes += detail::reply_header_region;
 
-    const auto marshalled = rpc::validate_enc_header(staging.words[0], n);
+    const auto marshalled = rpc::validate_enc_header(staging.words[0], body);
     const rpc::reply_header header = staging.to_header();
-    if (!marshalled.has_value() ||
-        *marshalled < rpc::reply_payload_offset ||
+    if (!marshalled.has_value() || *marshalled < rpc::reply_payload_offset ||
         header.msg_type != rpc::msg_type_reply) {
         return {acc.folded(), false};
     }
-    const std::size_t payload_bytes =
-        *marshalled - rpc::reply_payload_offset;
+    const std::size_t payload_bytes = *marshalled - rpc::reply_payload_offset;
     const std::span<std::byte> dest = resolve(header, payload_bytes);
     if (dest.size() != payload_bytes) return {acc.folded(), false};
 
@@ -263,90 +270,116 @@ tcp::rx_process_result receive_reply_layered(const Mem& mem,
     std::uint32_t opaque_len = 0;
     {
         ILP_OBS_SPAN("app", "unmarshal_pass");
-        core::scatter_dest dst;
-        dst.add({reinterpret_cast<std::byte*>(&opaque_len), 4},
-                core::segment_op::xdr_words);
-        if (payload_bytes > 0) dst.add(dest);
-        const std::size_t pad = n - rpc::reply_payload_offset - payload_bytes;
-        if (pad > 0) dst.add_discard(pad);
         core::unmarshal_from_buffer(
-            mem, wire.subspan(detail::reply_header_region), dst);
+            mem,
+            wire.subspan(detail::reply_header_region,
+                         body - detail::reply_header_region),
+            detail::reply_body_dest(opaque_len, dest, body));
     }
-    counters.marshal_pass_bytes += n - detail::reply_header_region;
-    ++counters.messages;
-    counters.payload_bytes += payload_bytes;
+    counters.marshal_pass_bytes += body - detail::reply_header_region;
+    return detail::finish_reply<Framing>(open, acc,
+                                         opaque_len == payload_bytes, header,
+                                         payload_bytes, out_header, status,
+                                         counters);
+}
 
-    if (out_header != nullptr) *out_header = header;
-    return {acc.folded(), opaque_len == payload_bytes};
+// Either reply path for one delivery.  A chain (zero-copy loan) only reaches
+// the data path in ILP mode: the layered path decrypts in place, which a
+// read-only loan cannot support, so the TCP layer stages a counted copy for
+// it instead.
+template <typename Framing, memsim::memory_policy Mem, typename Key,
+          typename Wire, reply_dest_resolver Resolver>
+tcp::rx_process_result receive_reply_framed(path_mode mode, const Mem& mem,
+                                            Key& key, const Wire& wire,
+                                            Resolver&& resolve,
+                                            rpc::reply_header* out_header,
+                                            secure_rx_status* status,
+                                            path_counters& counters) {
+    if constexpr (std::is_same_v<Wire, std::span<std::byte>>) {
+        if (mode == path_mode::layered) {
+            return receive_layered<Framing>(mem, key, wire, resolve,
+                                            out_header, status, counters);
+        }
+    }
+    ILP_EXPECT(mode == path_mode::ilp);
+    return receive_ilp<Framing>(mem, key, detail::as_chain(wire), resolve,
+                                out_header, status, counters);
+}
+
+// v2 entry points (the audits, probes and unit fixtures drive them); the
+// wire is a chain or a contiguous span.
+template <memsim::memory_policy Mem, crypto::block_cipher Cipher,
+          typename Wire, reply_dest_resolver Resolver>
+tcp::rx_process_result receive_reply_ilp(const Mem& mem, const Cipher& cipher,
+                                         const Wire& wire, Resolver&& resolve,
+                                         rpc::reply_header* out_header,
+                                         path_counters& counters) {
+    return receive_ilp<v2_framing<Cipher>>(mem, cipher, detail::as_chain(wire),
+                                           resolve, out_header, nullptr,
+                                           counters);
+}
+
+template <memsim::memory_policy Mem, crypto::block_cipher Cipher,
+          reply_dest_resolver Resolver>
+tcp::rx_process_result receive_reply_layered(const Mem& mem,
+                                             const Cipher& cipher,
+                                             std::span<std::byte> wire,
+                                             Resolver&& resolve,
+                                             rpc::reply_header* out_header,
+                                             path_counters& counters) {
+    return receive_layered<v2_framing<Cipher>>(mem, cipher, wire, resolve,
+                                               out_header, nullptr, counters);
 }
 
 // ---------------------------------------------------------------------------
-// Request receive paths (server side; requests are small but still flow
-// through the full data-manipulation machinery)
+// Request receive (server side; requests are small but still flow through
+// the full data-manipulation machinery)
 
-// Decrypts a request into `staging` and checksums it; the caller parses the
-// plaintext staging with rpc::unmarshal_request afterwards.  Returns the
-// checksum result; `*plain_len` receives the wire size.
-template <memsim::memory_policy Mem, crypto::block_cipher Cipher>
+// Decrypts a request body into `staging` (the caller parses it with
+// rpc::unmarshal_request), checksums the whole wire and judges the frame.
+// A chain (zero-copy loan) reaches it only in ILP mode, as above.
+template <typename Framing, memsim::memory_policy Mem,
+          crypto::block_cipher Cipher, typename Wire>
 tcp::rx_process_result receive_request(path_mode mode, const Mem& mem,
-                                       const Cipher& cipher,
-                                       std::span<std::byte> wire,
+                                       const Cipher& key, const Wire& wire,
                                        std::span<std::byte> staging,
+                                       secure_rx_status* status,
                                        path_counters& counters) {
+    constexpr std::size_t trailer = Framing::trailer_bytes;
     const std::size_t n = wire.size();
     counters.wire_bytes += n;
-    ILP_OBS_SPAN("app", "receive_request");
+    ILP_OBS_SPAN("app", Framing::spans.receive_request);
     checksum::inet_accumulator acc;
-    if (n % core::encryption_unit_bytes != 0 || n > staging.size()) {
-        return detail::fail_with_remainder(mem, acc, wire, 0, counters);
-    }
-
-    if (mode == path_mode::ilp) {
-        core::checksum_tap8 tap(acc);
-        core::decrypt_stage<Cipher> dec(cipher);
-        auto loop = core::make_pipeline(tap, dec);
-        loop.run(mem, core::span_source(wire),
-                 core::span_dest(staging.first(n)));
-        counters.fused_loop_bytes += n;
-    } else {
-        core::checksum_pass(mem, acc, wire, 8);
-        counters.checksum_pass_bytes += n;
-        core::decrypt_stage<Cipher> dec(cipher);
-        core::apply_stage_in_place(mem, dec, wire);
-        counters.cipher_pass_bytes += n;
-        core::copy_pass(mem, wire, staging.first(n));
-        counters.copy_pass_bytes += n;
-    }
-    counters.cipher_bytes += n;
-    ++counters.messages;
-    return {acc.folded(), true};
-}
-
-// Zero-copy (chain) form of the request receive.  ILP mode only: the
-// layered path decrypts the wire in place, which a read-only loan cannot
-// support, so the TCP layer stages a counted copy for it and calls the
-// span overload instead.
-template <memsim::memory_policy Mem, crypto::block_cipher Cipher>
-tcp::rx_process_result receive_request(path_mode mode, const Mem& mem,
-                                       const Cipher& cipher,
-                                       const const_ring_span& wire,
-                                       std::span<std::byte> staging,
-                                       path_counters& counters) {
-    ILP_EXPECT(mode == path_mode::ilp);
-    const std::size_t n = wire.size();
-    counters.wire_bytes += n;
-    ILP_OBS_SPAN("app", "receive_request");
-    checksum::inet_accumulator acc;
-    const core::gather_source src = core::chain_source(wire);
-    if (n % core::encryption_unit_bytes != 0 || n > staging.size()) {
+    if (status != nullptr) *status = {};
+    const const_ring_span chain = detail::as_chain(wire);
+    const core::gather_source src = core::chain_source(chain);
+    // A trailer-framed request must also carry a body.
+    if ((trailer > 0 && n <= trailer) ||
+        n % core::encryption_unit_bytes != 0 || n - trailer > staging.size()) {
         return detail::fail_with_remainder(mem, acc, src, 0, counters);
     }
-    core::checksum_tap8 tap(acc);
-    core::decrypt_stage<Cipher> dec(cipher);
-    auto loop = core::make_pipeline(tap, dec);
-    loop.run(mem, src, core::span_dest(staging.first(n)));
-    counters.fused_loop_bytes += n;
-    counters.cipher_bytes += n;
+    const std::size_t body = n - trailer;
+    typename Framing::opener open(key, chain.subspan(body, trailer), status);
+    auto decrypt = open.stage();
+    if (mode == path_mode::ilp) {
+        core::checksum_tap8 tap(acc);
+        auto loop = core::make_pipeline(tap, decrypt);
+        loop.run(mem, src.slice(0, body), core::span_dest(staging.first(body)));
+        counters.fused_loop_bytes += body;
+    } else if constexpr (std::is_same_v<Wire, std::span<std::byte>>) {
+        core::checksum_pass(mem, acc, wire.first(body), 8);
+        counters.checksum_pass_bytes += body;
+        core::apply_stage_in_place(mem, decrypt, wire.first(body));
+        counters.cipher_pass_bytes += body;
+        core::copy_pass(mem, wire.first(body), staging.first(body));
+        counters.copy_pass_bytes += body;
+    } else {
+        ILP_EXPECT(mode == path_mode::ilp);
+    }
+    counters.cipher_bytes += body;
+    detail::checksum_rest(mem, acc, src, body, counters);
+    if (!open.tag_ok(status)) return {acc.folded(), false};
+    open.accept(status);
     ++counters.messages;
     return {acc.folded(), true};
 }

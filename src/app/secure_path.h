@@ -1,4 +1,4 @@
-// Secure (wire v3) data paths: AEAD framing over the ILP and layered paths.
+// Secure framing (wire v3) and the per-flow choice between it and v2.
 //
 // A secure message is the v2 wire image encrypted under the flow's current
 // epoch key, followed by an 8-byte clear trailer [epoch | tag]
@@ -8,7 +8,11 @@
 // paper's ILP claim.  The layered baselines pay the conventional
 // pass-per-layer price, tag included in the cipher pass.
 //
-// Receive side owns the failure taxonomy the robustness contract demands:
+// v3_framing is the framing policy (framing.h) the shared data paths in
+// send_path.h and receive_path.h run under; this header adds the v3 entry
+// points and flow_keys, the key state both endpoints hold, which picks the
+// framing once per message.  The receive side owns the failure taxonomy the
+// robustness contract demands:
 //
 //   epoch_skew    — trailer epoch is *behind* the two-epoch key window
 //                   (stale beyond any legal retransmit); nothing decrypted.
@@ -31,18 +35,14 @@
 #include <optional>
 #include <span>
 
+#include "app/framing.h"
 #include "app/path_mode.h"
 #include "app/receive_path.h"
 #include "app/send_path.h"
-#include "checksum/internet_checksum.h"
-#include "core/fused_pipeline.h"
-#include "core/layered_path.h"
-#include "core/stage.h"
 #include "crypto/aead.h"
 #include "crypto/kdf.h"
 #include "obs/tracer.h"
 #include "rpc/messages.h"
-#include "tcp/connection.h"
 
 namespace ilp::app {
 
@@ -78,30 +78,6 @@ static_assert(core::aead_decrypt_stage<crypto::aead_cipher>::footprint_decl
               "AEAD footprint trailer obligation must match the wire-v3 "
               "trailer reservation");
 
-enum class secure_rx_cause : std::uint8_t {
-    ok,
-    malformed,
-    epoch_skew,
-    tag_mismatch,
-};
-
-inline const char* to_string(secure_rx_cause cause) noexcept {
-    switch (cause) {
-        case secure_rx_cause::ok: return "ok";
-        case secure_rx_cause::malformed: return "malformed";
-        case secure_rx_cause::epoch_skew: return "epoch_skew";
-        case secure_rx_cause::tag_mismatch: return "tag_mismatch";
-    }
-    return "?";
-}
-
-struct secure_rx_status {
-    secure_rx_cause cause = secure_rx_cause::malformed;
-    crypto::key_epoch epoch = 0;  // trailer epoch as received
-    bool window_hit = false;      // accepted under the *previous* epoch
-    bool adopted = false;         // keychain jumped forward to this epoch
-};
-
 // Per-endpoint security counters, merged into flow outcomes and metrics.
 struct secure_flow_stats {
     std::uint64_t rekeys = 0;           // key-window advances initiated
@@ -110,229 +86,6 @@ struct secure_flow_stats {
     std::uint64_t window_hits = 0;      // previous-epoch acceptances
     std::uint64_t epoch_adoptions = 0;  // forward jumps committed
 };
-
-// ---------------------------------------------------------------------------
-// Secure send paths
-
-// The fused aead-encrypt+tag+checksum loop over one secure message plus its
-// clear [epoch | tag] trailer, writing directly into a (reserved) TCP ring
-// span; returns the folded checksum over body and trailer.  Shared verbatim
-// by the serial secure send path below and the pipelined dataplane's fused
-// stage, so both produce bit-identical ring contents.
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher>
-std::uint16_t fill_message_secure_ilp(const Mem& mem, const Cipher& cipher,
-                                      crypto::key_epoch epoch,
-                                      const core::gather_source& src,
-                                      const core::message_plan& plan,
-                                      const ring_span& dst) {
-    const std::size_t body_bytes = plan.total_bytes;
-    checksum::inet_accumulator acc;
-    crypto::aead_tag_accumulator tag;
-    core::aead_encrypt_stage<Cipher> encrypt(cipher, tag);
-    core::checksum_tap8 tap(acc);
-    auto loop = core::make_pipeline(encrypt, tap);
-    static_assert(!decltype(loop)::ordering_constrained,
-                  "out-of-order parts require unconstrained stages");
-    ILP_EXPECT(plan.well_formed() &&
-               plan.aligned_for(decltype(loop)::required_alignment));
-    const core::scatter_dest ring = core::ring_dest(dst);
-    for (const core::message_part& part : plan.ilp_order()) {
-        if (part.empty()) continue;
-        ILP_OBS_SPAN("core", "fused_part");
-        loop.run(mem, src.slice(part.offset, part.len),
-                 ring.slice(part.offset, part.len));
-    }
-    // Clear trailer: epoch + folded tag, still covered by the TCP
-    // checksum via the copy mini-loop's tap.
-    alignas(8) std::byte trailer[rpc::secure_trailer_bytes];
-    rpc::encode_secure_trailer({.key_epoch = epoch, .tag = tag.fold()},
-                               trailer);
-    core::opaque_stage copy;
-    core::checksum_tap8 trailer_tap(acc);
-    auto trailer_loop = core::make_pipeline(copy, trailer_tap);
-    trailer_loop.run(mem, core::span_source({trailer, sizeof trailer}),
-                     ring.slice(body_bytes, rpc::secure_trailer_bytes));
-    return acc.folded();
-}
-
-// ILP: one fused pass (aead encrypt+tag, checksum tap) over the message
-// parts in B,C,A order, then the 8-byte trailer staged locally and pushed
-// through a 2-stage mini-loop so the checksum tap covers it too.
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher>
-bool send_message_secure_ilp(tcp::tcp_sender<Mem>& sender, const Mem& mem,
-                             const Cipher& cipher, crypto::key_epoch epoch,
-                             const core::gather_source& src,
-                             const core::message_plan& plan,
-                             path_counters& counters) {
-    const std::size_t body_bytes = plan.total_bytes;
-    const std::size_t wire_bytes = body_bytes + rpc::secure_trailer_bytes;
-    ILP_EXPECT(src.total_size() == body_bytes);
-    ILP_OBS_SPAN("app", "send_secure_ilp");
-    const bool sent = sender.send_message(
-        wire_bytes, [&](const ring_span& dst) -> std::optional<std::uint16_t> {
-            return fill_message_secure_ilp(mem, cipher, epoch, src, plan, dst);
-        });
-    if (!sent) return false;
-    ++counters.messages;
-    counters.wire_bytes += wire_bytes;
-    counters.fused_loop_bytes += wire_bytes;
-    counters.cipher_bytes += body_bytes;
-    return true;
-}
-
-// Layered baseline: marshal pass, aead pass (in place, tag accumulated),
-// trailer encode, then tcp_send's copy with the checksum left to tcp_output.
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher>
-bool send_message_secure_layered(tcp::tcp_sender<Mem>& sender, const Mem& mem,
-                                 const Cipher& cipher, crypto::key_epoch epoch,
-                                 const core::gather_source& src,
-                                 const core::message_plan& plan,
-                                 send_workspace& workspace,
-                                 path_counters& counters) {
-    const std::size_t body_bytes = plan.total_bytes;
-    const std::size_t wire_bytes = body_bytes + rpc::secure_trailer_bytes;
-    ILP_EXPECT(src.total_size() == body_bytes);
-    if (wire_bytes > sender.sendable_bytes()) return false;
-    const std::span<std::byte> staging = workspace.staging(wire_bytes);
-    ILP_OBS_SPAN("app", "send_secure_layered");
-
-    {
-        ILP_OBS_SPAN("app", "marshal_pass");
-        core::marshal_to_buffer(mem, src, staging.first(body_bytes));
-    }
-    counters.marshal_pass_bytes += body_bytes;
-
-    crypto::aead_tag_accumulator tag;
-    {
-        ILP_OBS_SPAN("app", "cipher_pass");
-        core::aead_encrypt_stage<Cipher> encrypt(cipher, tag);
-        core::apply_stage_in_place(mem, encrypt, staging.first(body_bytes));
-    }
-    counters.cipher_pass_bytes += body_bytes;
-    counters.cipher_bytes += body_bytes;
-    rpc::encode_secure_trailer({.key_epoch = epoch, .tag = tag.fold()},
-                               staging.subspan(body_bytes));
-
-    const bool sent = sender.send_message(
-        wire_bytes, [&](const ring_span& dst) -> std::optional<std::uint16_t> {
-            ILP_OBS_SPAN("app", "tcp_send_copy");
-            mem.copy(dst.first.data(), staging.data(), dst.first.size());
-            if (!dst.second.empty()) {
-                mem.copy(dst.second.data(), staging.data() + dst.first.size(),
-                         dst.second.size());
-            }
-            return std::nullopt;
-        });
-    ILP_ENSURE(sent);  // sendable_bytes was checked above
-    counters.copy_pass_bytes += wire_bytes;
-    counters.checksum_pass_bytes += wire_bytes;
-    ++counters.messages;
-    counters.wire_bytes += wire_bytes;
-    return true;
-}
-
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher>
-bool send_message_secure(path_mode mode, tcp::tcp_sender<Mem>& sender,
-                         const Mem& mem, const Cipher& cipher,
-                         crypto::key_epoch epoch,
-                         const core::gather_source& src,
-                         const core::message_plan& plan,
-                         send_workspace& workspace, path_counters& counters) {
-    if (mode == path_mode::ilp) {
-        return send_message_secure_ilp(sender, mem, cipher, epoch, src, plan,
-                                       counters);
-    }
-    return send_message_secure_layered(sender, mem, cipher, epoch, src, plan,
-                                       workspace, counters);
-}
-
-// ---------------------------------------------------------------------------
-// Secure receive paths
-
-namespace detail {
-
-// Decodes the clear trailer from a (possibly two-piece) chain.  The flatten
-// is raw and uncounted, mirroring the contiguous path where
-// decode_secure_trailer reads the wire without going through the memory
-// policy; the *counted* trailer touches are the checksum ones below.
-inline rpc::secure_trailer decode_trailer_chain(const const_ring_span& t) {
-    alignas(8) std::byte tmp[rpc::secure_trailer_bytes];
-    ILP_EXPECT(t.size() == rpc::secure_trailer_bytes);
-    std::memcpy(tmp, t.first.data(), t.first.size());
-    if (!t.second.empty()) {
-        std::memcpy(tmp + t.first.size(), t.second.data(), t.second.size());
-    }
-    return rpc::decode_secure_trailer({tmp, rpc::secure_trailer_bytes});
-}
-
-// Counted checksum over a chain, segment by segment (parity-tracked, so any
-// split offset folds to the same sum as the contiguous pass).
-template <memsim::memory_policy Mem>
-void checksum_chain(const Mem& mem, checksum::inet_accumulator& acc,
-                    const const_ring_span& data) {
-    acc.add_bytes(mem, data.first, 8);
-    if (!data.second.empty()) acc.add_bytes(mem, data.second, 8);
-}
-
-// A failure discovered after decryption started: finish decrypting the rest
-// of the body into a discard destination so the tag accumulator is complete,
-// checksum the clear trailer, and classify — a disagreeing tag means wrong
-// key / tampering (tag_mismatch) and outranks the structural complaint.
-template <memsim::memory_policy Mem, typename Loop>
-tcp::rx_process_result fail_secure_body(
-    const Mem& mem, Loop& loop, checksum::inet_accumulator& acc,
-    const crypto::aead_tag_accumulator& tag,
-    const rpc::secure_trailer& trailer, std::span<std::byte> wire,
-    std::size_t from, secure_rx_status* status, path_counters& counters) {
-    const std::size_t body = wire.size() - rpc::secure_trailer_bytes;
-    if (from < body) {
-        core::scatter_dest discard;
-        discard.add_discard(body - from);
-        loop.run(mem, core::span_source(wire.subspan(from, body - from)),
-                 discard);
-        counters.fused_loop_bytes += body - from;
-        counters.cipher_bytes += body - from;
-    }
-    core::checksum_pass(mem, acc, wire.subspan(body), 8);
-    counters.checksum_pass_bytes += rpc::secure_trailer_bytes;
-    if (status != nullptr) {
-        status->cause = tag.fold() == trailer.tag
-                            ? secure_rx_cause::malformed
-                            : secure_rx_cause::tag_mismatch;
-    }
-    return {acc.folded(), false};
-}
-
-// Gather-source form for the zero-copy chain path; single-segment sources
-// run the exact same accesses as the span form above.
-template <memsim::memory_policy Mem, typename Loop>
-tcp::rx_process_result fail_secure_body(
-    const Mem& mem, Loop& loop, checksum::inet_accumulator& acc,
-    const crypto::aead_tag_accumulator& tag,
-    const rpc::secure_trailer& trailer, const core::gather_source& wire,
-    std::size_t from, secure_rx_status* status, path_counters& counters) {
-    const std::size_t body = wire.total_size() - rpc::secure_trailer_bytes;
-    if (from < body) {
-        core::scatter_dest discard;
-        discard.add_discard(body - from);
-        loop.run(mem, wire.slice(from, body - from), discard);
-        counters.fused_loop_bytes += body - from;
-        counters.cipher_bytes += body - from;
-    }
-    for (const core::gather_segment& s :
-         wire.slice(body, rpc::secure_trailer_bytes).segments()) {
-        acc.add_bytes(mem, std::span<const std::byte>{s.data, s.len}, 8);
-    }
-    counters.checksum_pass_bytes += rpc::secure_trailer_bytes;
-    if (status != nullptr) {
-        status->cause = tag.fold() == trailer.tag
-                            ? secure_rx_cause::malformed
-                            : secure_rx_cause::tag_mismatch;
-    }
-    return {acc.folded(), false};
-}
-
-}  // namespace detail
 
 // Selects the decryption key for `epoch` from the keychain: a window hit
 // uses the held cipher; an epoch *ahead* of the window is trial-derived into
@@ -359,138 +112,285 @@ const Cipher* select_rx_cipher(crypto::keychain<Cipher>& chain,
     return nullptr;
 }
 
-// ILP secure reply receive: trailer decoded first (clear), body streamed
-// through the fused tap+aead-decrypt loop in the same two-phase shape as
-// receive_reply_ilp, tag compared at the end.  Adopts forward epochs into
-// the keychain only after the tag verifies.
-//
-// Primary (zero-copy) form over a loaned kernel-segment chain.  The clear
-// trailer is what makes this possible under rule R2: every header and
-// trailer size is known *before* the fused loop starts, straight off the
-// loan, so the loop can stream the ciphertext in place with no reassembly.
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher,
-          reply_dest_resolver Resolver>
-tcp::rx_process_result receive_reply_secure_ilp(
-    const Mem& mem, crypto::keychain<Cipher>& chain,
-    const const_ring_span& wire, Resolver&& resolve,
-    rpc::reply_header* out_header, secure_rx_status* status,
-    path_counters& counters) {
-    const std::size_t n = wire.size();
-    counters.wire_bytes += n;
-    ILP_OBS_SPAN("app", "receive_secure_ilp");
-    checksum::inet_accumulator acc;
-    if (status != nullptr) *status = {};
-    const core::gather_source src = core::chain_source(wire);
-    if (n < rpc::reply_payload_offset + 4 + rpc::secure_trailer_bytes ||
-        n % core::encryption_unit_bytes != 0) {
-        return detail::fail_with_remainder(mem, acc, src, 0, counters);
-    }
-    const std::size_t body = n - rpc::secure_trailer_bytes;
-    const rpc::secure_trailer trailer = detail::decode_trailer_chain(
-        wire.subspan(body, rpc::secure_trailer_bytes));
+template <crypto::aead_capable Cipher>
+struct v3_framing {
+    static constexpr std::size_t trailer_bytes = rpc::secure_trailer_bytes;
+    static constexpr bool authenticated = true;
+    static constexpr path_span_names spans{
+        "send_secure_ilp", "send_secure_layered", "receive_secure_ilp",
+        "receive_secure_layered", "receive_request_secure"};
 
-    std::optional<Cipher> derived;
-    const Cipher* cipher =
-        select_rx_cipher(chain, trailer.key_epoch, derived, status);
-    if (cipher == nullptr) {
-        // Stale epoch: nothing we can decrypt; checksum everything so TCP
-        // can verdict, and report the skew explicitly.
-        return detail::fail_with_remainder(mem, acc, src, 0, counters);
-    }
+    class sealer {
+    public:
+        sealer(const Cipher& key, crypto::key_epoch epoch)
+            : key_(&key), epoch_(epoch) {}
+        sealer(const sealer&) = delete;  // the stage points at tag_
+        sealer& operator=(const sealer&) = delete;
 
-    crypto::aead_tag_accumulator tag;
-    core::checksum_tap8 tap(acc);
-    core::aead_decrypt_stage<Cipher> dec(*cipher, tag);
-    auto loop = core::make_pipeline(tap, dec);
-    static_assert(detail::reply_header_region %
-                          decltype(loop)::required_alignment ==
-                      0,
-                  "header phase must end on a fused-unit boundary");
+        core::aead_encrypt_stage<Cipher> stage() {
+            return core::aead_encrypt_stage<Cipher>(*key_, tag_);
+        }
+        void write_trailer(std::span<std::byte> out) const {
+            rpc::encode_secure_trailer({.key_epoch = epoch_, .tag = tag_.fold()},
+                                       out);
+        }
 
-    detail::reply_header_staging staging;
-    {
-        ILP_OBS_SPAN("app", "receive_header_phase");
-        core::scatter_dest dst;
-        dst.add(staging.bytes(), core::segment_op::xdr_words);
-        loop.run(mem, src.slice(0, detail::reply_header_region), dst);
-    }
-    counters.fused_loop_bytes += detail::reply_header_region;
-    counters.cipher_bytes += detail::reply_header_region;
+    private:
+        const Cipher* key_;
+        crypto::key_epoch epoch_;
+        crypto::aead_tag_accumulator tag_;
+    };
 
-    const auto marshalled = rpc::validate_enc_header(staging.words[0], body);
-    const rpc::reply_header header = staging.to_header();
-    if (!marshalled.has_value() || *marshalled < rpc::reply_payload_offset ||
-        header.msg_type != rpc::msg_type_reply) {
-        return detail::fail_secure_body(mem, loop, acc, tag, trailer, src,
-                                        detail::reply_header_region, status,
-                                        counters);
-    }
-    const std::size_t payload_bytes = *marshalled - rpc::reply_payload_offset;
-    const std::span<std::byte> dest = resolve(header, payload_bytes);
-    if (dest.size() != payload_bytes) {
-        return detail::fail_secure_body(mem, loop, acc, tag, trailer, src,
-                                        detail::reply_header_region, status,
-                                        counters);
-    }
+    class opener {
+    public:
+        // Reply direction: the key for the trailer's epoch out of the
+        // window (or trial-derived ahead of it), adopted once the tag
+        // verifies.
+        opener(crypto::keychain<Cipher>& chain, const const_ring_span& trailer,
+               secure_rx_status* status)
+            : trailer_(decode(trailer)),
+              chain_(&chain),
+              key_(select_rx_cipher(chain, trailer_.key_epoch, derived_,
+                                    status)) {}
+        // Request direction: the epoch-free control key; the trailer epoch
+        // is informational (the server re-centres its window on it).
+        opener(const Cipher& control, const const_ring_span& trailer,
+               secure_rx_status* status)
+            : trailer_(decode(trailer)), key_(&control) {
+            if (status != nullptr) status->epoch = trailer_.key_epoch;
+        }
+        opener(const opener&) = delete;  // the stage points at tag_
+        opener& operator=(const opener&) = delete;
 
-    std::uint32_t opaque_len = 0;
-    {
-        ILP_OBS_SPAN("app", "receive_body_phase");
-        core::scatter_dest dst;
-        dst.add({reinterpret_cast<std::byte*>(&opaque_len), 4},
-                core::segment_op::xdr_words);
-        if (payload_bytes > 0) dst.add(dest);
-        const std::size_t pad =
-            body - rpc::reply_payload_offset - payload_bytes;
-        if (pad > 0) dst.add_discard(pad);
-        loop.run(mem,
-                 src.slice(detail::reply_header_region,
-                           body - detail::reply_header_region),
-                 dst);
-    }
-    counters.fused_loop_bytes += body - detail::reply_header_region;
-    counters.cipher_bytes += body - detail::reply_header_region;
-    detail::checksum_chain(mem, acc,
-                           wire.subspan(body, rpc::secure_trailer_bytes));
-    counters.checksum_pass_bytes += rpc::secure_trailer_bytes;
+        bool has_key() const noexcept { return key_ != nullptr; }
+        core::aead_decrypt_stage<Cipher> stage() {
+            return core::aead_decrypt_stage<Cipher>(*key_, tag_);
+        }
+        bool tag_ok(secure_rx_status* status) const {
+            if (tag_.fold() == trailer_.tag) return true;
+            if (status != nullptr) status->cause = secure_rx_cause::tag_mismatch;
+            return false;
+        }
+        void accept(secure_rx_status* status) {
+            const bool adopted =
+                chain_ != nullptr && chain_->adopt(trailer_.key_epoch);
+            if (status != nullptr) {
+                status->cause = secure_rx_cause::ok;
+                status->adopted = adopted;
+            }
+        }
 
-    if (tag.fold() != trailer.tag) {
-        if (status != nullptr) status->cause = secure_rx_cause::tag_mismatch;
-        return {acc.folded(), false};
+        // A failure discovered after decryption started: finish decrypting
+        // the rest of the body into a discard destination so the tag is
+        // complete, checksum the clear trailer, and classify — a
+        // disagreeing tag means wrong key / tampering (tag_mismatch) and
+        // outranks the structural complaint.
+        template <memsim::memory_policy Mem, typename Loop>
+        tcp::rx_process_result fail(const Mem& mem, Loop& loop,
+                                    checksum::inet_accumulator& acc,
+                                    const core::gather_source& wire,
+                                    std::size_t from, secure_rx_status* status,
+                                    path_counters& counters) const {
+            const std::size_t body = wire.total_size() - trailer_bytes;
+            if (from < body) {
+                loop.run(mem, wire.slice(from, body - from),
+                         core::null_dest(body - from));
+                counters.fused_loop_bytes += body - from;
+                counters.cipher_bytes += body - from;
+            }
+            detail::checksum_rest(mem, acc, wire, body, counters);
+            tag_ok(status);  // else the status keeps its `malformed`
+            return {acc.folded(), false};
+        }
+
+    private:
+        // The flatten is raw and uncounted, like every read of the clear
+        // trailer; the *counted* trailer touches are the checksum ones.
+        static rpc::secure_trailer decode(const const_ring_span& t) {
+            alignas(8) std::byte tmp[trailer_bytes];
+            ILP_EXPECT(t.size() == trailer_bytes);
+            std::memcpy(tmp, t.first.data(), t.first.size());
+            if (!t.second.empty()) {
+                std::memcpy(tmp + t.first.size(), t.second.data(),
+                            t.second.size());
+            }
+            return rpc::decode_secure_trailer({tmp, trailer_bytes});
+        }
+
+        rpc::secure_trailer trailer_;
+        crypto::keychain<Cipher>* chain_ = nullptr;
+        std::optional<Cipher> derived_;
+        const Cipher* key_;
+        crypto::aead_tag_accumulator tag_;
+    };
+};
+
+// ---------------------------------------------------------------------------
+// Per-message framing choice
+
+// What one message is sealed under, snapshotted when its segment is
+// reserved so the fill can run later (a pipeline stage, possibly on another
+// thread) under exactly that key.
+template <crypto::block_cipher Cipher>
+struct seal_key {
+    const Cipher* cipher = nullptr;
+    crypto::key_epoch epoch = 0;
+    bool framed = false;  // wire v3 trailer framing
+};
+
+// The span a send opens around its fill and commit.
+template <crypto::block_cipher Cipher>
+const char* send_span(const seal_key<Cipher>& key, path_mode mode) noexcept {
+    const path_span_names* spans = &v2_framing<Cipher>::spans;
+    if constexpr (crypto::aead_capable<Cipher>) {
+        if (key.framed) spans = &v3_framing<Cipher>::spans;
     }
-    if (opaque_len != payload_bytes) {
-        return {acc.folded(), false};  // malformed (tag ok, structure bad)
-    }
-    if (status != nullptr) {
-        status->cause = secure_rx_cause::ok;
-        status->adopted = chain.adopt(trailer.key_epoch);
-    } else {
-        chain.adopt(trailer.key_epoch);
-    }
-    ++counters.messages;
-    counters.payload_bytes += payload_bytes;
-    if (out_header != nullptr) *out_header = header;
-    return {acc.folded(), true};
+    return mode == path_mode::ilp ? spans->send_ilp : spans->send_layered;
 }
 
-// Contiguous overload (the staged-copy mode and all unit fixtures):
-// delegates with a single-piece chain, so it runs the identical access
-// sequence it always has.
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher,
-          reply_dest_resolver Resolver>
-tcp::rx_process_result receive_reply_secure_ilp(
-    const Mem& mem, crypto::keychain<Cipher>& chain,
-    std::span<std::byte> wire, Resolver&& resolve,
-    rpc::reply_header* out_header, secure_rx_status* status,
-    path_counters& counters) {
-    return receive_reply_secure_ilp(mem, chain, const_ring_span{wire, {}},
-                                    std::forward<Resolver>(resolve),
-                                    out_header, status, counters);
+// Fills one reserved segment under the framing its key calls for.
+template <memsim::memory_policy Mem, crypto::block_cipher Cipher>
+std::optional<std::uint16_t> fill_segment(path_mode mode, const Mem& mem,
+                                          const seal_key<Cipher>& key,
+                                          const core::gather_source& src,
+                                          const core::message_plan& plan,
+                                          const ring_span& dst,
+                                          std::span<std::byte> staging) {
+    if constexpr (crypto::aead_capable<Cipher>) {
+        if (key.framed) {
+            return fill_framed<v3_framing<Cipher>>(mode, mem, *key.cipher,
+                                                   key.epoch, src, plan, dst,
+                                                   staging);
+        }
+    }
+    return fill_framed<v2_framing<Cipher>>(mode, mem, *key.cipher, key.epoch,
+                                           src, plan, dst, staging);
 }
 
-// Layered secure reply receive: checksum pass (body + trailer), aead pass in
-// place, unmarshal passes — the conventional stack with authentication
-// folded into the cipher pass.
+// A flow's keys and the framing they imply — what both endpoints hold.
+// Plain flows run v2 under the caller's static cipher; secure flows hold a
+// keychain for the reply stream and an epoch-free control key for
+// requests, and run v3 unless negotiated down to v2 (then under the
+// keychain's pinned epoch-0 key).
+template <crypto::block_cipher Cipher>
+class flow_keys {
+public:
+    flow_keys(const Cipher& cipher, const secure_params& params)
+        : cipher_(&cipher), params_(params) {
+        if constexpr (crypto::aead_capable<Cipher>) {
+            if (params_.enabled) {
+                chain_.emplace(params_.flow_secret);
+                control_.emplace(
+                    crypto::derive_control_cipher<Cipher>(params_.flow_secret));
+            }
+        } else {
+            // Secure mode needs a KDF-derivable, tag-capable cipher.
+            ILP_EXPECT(!params_.enabled);
+        }
+    }
+
+    bool framed() const noexcept { return secure_framing(params_); }
+    std::size_t trailer_bytes() const noexcept {
+        return framed() ? rpc::secure_trailer_bytes : 0;
+    }
+    std::uint32_t wire_version() const noexcept {
+        return framed() ? rpc::wire_version_secure : rpc::wire_version;
+    }
+    crypto::key_epoch current_epoch() const noexcept {
+        return chain_.has_value() ? chain_->current_epoch() : 0;
+    }
+
+    // The reply stream: the keychain's current epoch key for secure flows.
+    seal_key<Cipher> reply_key() const {
+        return {chain_.has_value() ? &chain_->current() : cipher_,
+                current_epoch(), framed()};
+    }
+    // Requests run under the control key; a v3 trailer carries the data
+    // epoch for the server's window.
+    seal_key<Cipher> request_key() const {
+        return {control_.has_value() ? &*control_ : cipher_, current_epoch(),
+                framed()};
+    }
+
+    // Re-centres the key window on a peer's epoch; true if it moved.
+    bool adopt(crypto::key_epoch epoch) {
+        if constexpr (crypto::aead_capable<Cipher>) {
+            return framed() && chain_->adopt(epoch);
+        } else {
+            return false;
+        }
+    }
+    // Rekey: advances the key window (secure flows only).
+    void advance() {
+        if constexpr (crypto::aead_capable<Cipher>) chain_->advance();
+    }
+
+    template <memsim::memory_policy Mem, typename Wire,
+              reply_dest_resolver Resolver>
+    tcp::rx_process_result receive_reply(path_mode mode, const Mem& mem,
+                                         const Wire& wire, Resolver&& resolve,
+                                         rpc::reply_header* header,
+                                         secure_rx_status* status,
+                                         path_counters& counters) {
+        if constexpr (crypto::aead_capable<Cipher>) {
+            if (framed()) {
+                return receive_reply_framed<v3_framing<Cipher>>(
+                    mode, mem, *chain_, wire, resolve, header, status,
+                    counters);
+            }
+        }
+        const Cipher& key = *reply_key().cipher;
+        return receive_reply_framed<v2_framing<Cipher>>(
+            mode, mem, key, wire, resolve, header, status, counters);
+    }
+
+    template <memsim::memory_policy Mem, typename Wire>
+    tcp::rx_process_result receive_request(path_mode mode, const Mem& mem,
+                                           const Wire& wire,
+                                           std::span<std::byte> staging,
+                                           secure_rx_status* status,
+                                           path_counters& counters) const {
+        const Cipher& key = *request_key().cipher;
+        if constexpr (crypto::aead_capable<Cipher>) {
+            if (framed()) {
+                return app::receive_request<v3_framing<Cipher>>(
+                    mode, mem, key, wire, staging, status, counters);
+            }
+        }
+        return app::receive_request<v2_framing<Cipher>>(
+            mode, mem, key, wire, staging, status, counters);
+    }
+
+private:
+    const Cipher* cipher_;
+    secure_params params_;
+    std::optional<crypto::keychain<Cipher>> chain_;
+    std::optional<Cipher> control_;
+};
+
+// ---------------------------------------------------------------------------
+// v3 entry points (the probes and unit fixtures drive them)
+
+template <memsim::memory_policy Mem, crypto::aead_capable Cipher>
+std::uint16_t fill_message_secure_ilp(const Mem& mem, const Cipher& cipher,
+                                      crypto::key_epoch epoch,
+                                      const core::gather_source& src,
+                                      const core::message_plan& plan,
+                                      const ring_span& dst) {
+    return fill_ilp<v3_framing<Cipher>>(mem, cipher, epoch, src, plan, dst);
+}
+
+template <memsim::memory_policy Mem, crypto::aead_capable Cipher,
+          typename Wire, reply_dest_resolver Resolver>
+tcp::rx_process_result receive_reply_secure_ilp(
+    const Mem& mem, crypto::keychain<Cipher>& chain, const Wire& wire,
+    Resolver&& resolve, rpc::reply_header* out_header,
+    secure_rx_status* status, path_counters& counters) {
+    return receive_ilp<v3_framing<Cipher>>(mem, chain, detail::as_chain(wire),
+                                           resolve, out_header, status,
+                                           counters);
+}
+
 template <memsim::memory_policy Mem, crypto::aead_capable Cipher,
           reply_dest_resolver Resolver>
 tcp::rx_process_result receive_reply_secure_layered(
@@ -498,226 +398,8 @@ tcp::rx_process_result receive_reply_secure_layered(
     std::span<std::byte> wire, Resolver&& resolve,
     rpc::reply_header* out_header, secure_rx_status* status,
     path_counters& counters) {
-    const std::size_t n = wire.size();
-    counters.wire_bytes += n;
-    ILP_OBS_SPAN("app", "receive_secure_layered");
-    checksum::inet_accumulator acc;
-    if (status != nullptr) *status = {};
-
-    {
-        ILP_OBS_SPAN("app", "checksum_pass");
-        core::checksum_pass(mem, acc, wire, 8);
-    }
-    counters.checksum_pass_bytes += n;
-    if (n < rpc::reply_payload_offset + 4 + rpc::secure_trailer_bytes ||
-        n % core::encryption_unit_bytes != 0) {
-        return {acc.folded(), false};
-    }
-    const std::size_t body = n - rpc::secure_trailer_bytes;
-    const rpc::secure_trailer trailer =
-        rpc::decode_secure_trailer(wire.subspan(body));
-
-    std::optional<Cipher> derived;
-    const Cipher* cipher =
-        select_rx_cipher(chain, trailer.key_epoch, derived, status);
-    if (cipher == nullptr) return {acc.folded(), false};
-
-    crypto::aead_tag_accumulator tag;
-    {
-        ILP_OBS_SPAN("app", "cipher_pass");
-        core::aead_decrypt_stage<Cipher> dec(*cipher, tag);
-        core::apply_stage_in_place(mem, dec, wire.first(body));
-    }
-    counters.cipher_pass_bytes += body;
-    counters.cipher_bytes += body;
-
-    if (tag.fold() != trailer.tag) {
-        if (status != nullptr) status->cause = secure_rx_cause::tag_mismatch;
-        return {acc.folded(), false};
-    }
-
-    detail::reply_header_staging staging;
-    {
-        ILP_OBS_SPAN("app", "unmarshal_pass");
-        core::scatter_dest dst;
-        dst.add(staging.bytes(), core::segment_op::xdr_words);
-        core::unmarshal_from_buffer(
-            mem, wire.first(detail::reply_header_region), dst);
-    }
-    counters.marshal_pass_bytes += detail::reply_header_region;
-
-    const auto marshalled = rpc::validate_enc_header(staging.words[0], body);
-    const rpc::reply_header header = staging.to_header();
-    if (!marshalled.has_value() || *marshalled < rpc::reply_payload_offset ||
-        header.msg_type != rpc::msg_type_reply) {
-        return {acc.folded(), false};
-    }
-    const std::size_t payload_bytes = *marshalled - rpc::reply_payload_offset;
-    const std::span<std::byte> dest = resolve(header, payload_bytes);
-    if (dest.size() != payload_bytes) return {acc.folded(), false};
-
-    std::uint32_t opaque_len = 0;
-    {
-        ILP_OBS_SPAN("app", "unmarshal_pass");
-        core::scatter_dest dst;
-        dst.add({reinterpret_cast<std::byte*>(&opaque_len), 4},
-                core::segment_op::xdr_words);
-        if (payload_bytes > 0) dst.add(dest);
-        const std::size_t pad =
-            body - rpc::reply_payload_offset - payload_bytes;
-        if (pad > 0) dst.add_discard(pad);
-        core::unmarshal_from_buffer(
-            mem,
-            wire.subspan(detail::reply_header_region,
-                         body - detail::reply_header_region),
-            dst);
-    }
-    counters.marshal_pass_bytes += body - detail::reply_header_region;
-    if (opaque_len != payload_bytes) return {acc.folded(), false};
-
-    if (status != nullptr) {
-        status->cause = secure_rx_cause::ok;
-        status->adopted = chain.adopt(trailer.key_epoch);
-    } else {
-        chain.adopt(trailer.key_epoch);
-    }
-    ++counters.messages;
-    counters.payload_bytes += payload_bytes;
-    if (out_header != nullptr) *out_header = header;
-    return {acc.folded(), true};
-}
-
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher,
-          reply_dest_resolver Resolver>
-tcp::rx_process_result receive_reply_secure(
-    path_mode mode, const Mem& mem, crypto::keychain<Cipher>& chain,
-    std::span<std::byte> wire, Resolver&& resolve,
-    rpc::reply_header* out_header, secure_rx_status* status,
-    path_counters& counters) {
-    if (mode == path_mode::ilp) {
-        return receive_reply_secure_ilp(mem, chain, wire,
-                                        std::forward<Resolver>(resolve),
-                                        out_header, status, counters);
-    }
-    return receive_reply_secure_layered(mem, chain, wire,
-                                        std::forward<Resolver>(resolve),
-                                        out_header, status, counters);
-}
-
-// Chain dispatcher: only the ILP path can consume a read-only loan (the
-// layered path decrypts in place), so the TCP layer routes chains here only
-// when a chain processor is installed — i.e. in ILP mode.
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher,
-          reply_dest_resolver Resolver>
-tcp::rx_process_result receive_reply_secure(
-    path_mode mode, const Mem& mem, crypto::keychain<Cipher>& chain,
-    const const_ring_span& wire, Resolver&& resolve,
-    rpc::reply_header* out_header, secure_rx_status* status,
-    path_counters& counters) {
-    ILP_EXPECT(mode == path_mode::ilp);
-    return receive_reply_secure_ilp(mem, chain, wire,
-                                    std::forward<Resolver>(resolve),
-                                    out_header, status, counters);
-}
-
-// Secure request receive (server side): requests travel under the flow's
-// epoch-free *control* key, so the trailer epoch is informational only.
-// Decrypts the body into `staging` (the caller parses it with
-// rpc::unmarshal_request), verifies the tag, reports the cause.
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher>
-tcp::rx_process_result receive_request_secure(
-    path_mode mode, const Mem& mem, const Cipher& control_cipher,
-    std::span<std::byte> wire, std::span<std::byte> staging,
-    secure_rx_status* status, path_counters& counters) {
-    const std::size_t n = wire.size();
-    counters.wire_bytes += n;
-    ILP_OBS_SPAN("app", "receive_request_secure");
-    checksum::inet_accumulator acc;
-    if (status != nullptr) *status = {};
-    if (n <= rpc::secure_trailer_bytes ||
-        n % core::encryption_unit_bytes != 0 ||
-        n - rpc::secure_trailer_bytes > staging.size()) {
-        return detail::fail_with_remainder(mem, acc, wire, 0, counters);
-    }
-    const std::size_t body = n - rpc::secure_trailer_bytes;
-    const rpc::secure_trailer trailer =
-        rpc::decode_secure_trailer(wire.subspan(body));
-    if (status != nullptr) status->epoch = trailer.key_epoch;
-
-    crypto::aead_tag_accumulator tag;
-    if (mode == path_mode::ilp) {
-        core::checksum_tap8 tap(acc);
-        core::aead_decrypt_stage<Cipher> dec(control_cipher, tag);
-        auto loop = core::make_pipeline(tap, dec);
-        loop.run(mem, core::span_source(wire.first(body)),
-                 core::span_dest(staging.first(body)));
-        counters.fused_loop_bytes += body;
-    } else {
-        core::checksum_pass(mem, acc, wire.first(body), 8);
-        counters.checksum_pass_bytes += body;
-        core::aead_decrypt_stage<Cipher> dec(control_cipher, tag);
-        core::apply_stage_in_place(mem, dec, wire.first(body));
-        counters.cipher_pass_bytes += body;
-        core::copy_pass(mem, wire.first(body), staging.first(body));
-        counters.copy_pass_bytes += body;
-    }
-    counters.cipher_bytes += body;
-    core::checksum_pass(mem, acc, wire.subspan(body), 8);
-    counters.checksum_pass_bytes += rpc::secure_trailer_bytes;
-
-    if (tag.fold() != trailer.tag) {
-        if (status != nullptr) status->cause = secure_rx_cause::tag_mismatch;
-        return {acc.folded(), false};
-    }
-    if (status != nullptr) status->cause = secure_rx_cause::ok;
-    ++counters.messages;
-    return {acc.folded(), true};
-}
-
-// Zero-copy (chain) form of the secure request receive, ILP mode only (see
-// the plain-path chain overload for the rationale): trailer decoded off the
-// loan first (R2), body fused-decrypted straight out of the chain into the
-// parse staging, trailer checksummed in place.
-template <memsim::memory_policy Mem, crypto::aead_capable Cipher>
-tcp::rx_process_result receive_request_secure(
-    path_mode mode, const Mem& mem, const Cipher& control_cipher,
-    const const_ring_span& wire, std::span<std::byte> staging,
-    secure_rx_status* status, path_counters& counters) {
-    ILP_EXPECT(mode == path_mode::ilp);
-    const std::size_t n = wire.size();
-    counters.wire_bytes += n;
-    ILP_OBS_SPAN("app", "receive_request_secure");
-    checksum::inet_accumulator acc;
-    if (status != nullptr) *status = {};
-    const core::gather_source src = core::chain_source(wire);
-    if (n <= rpc::secure_trailer_bytes ||
-        n % core::encryption_unit_bytes != 0 ||
-        n - rpc::secure_trailer_bytes > staging.size()) {
-        return detail::fail_with_remainder(mem, acc, src, 0, counters);
-    }
-    const std::size_t body = n - rpc::secure_trailer_bytes;
-    const rpc::secure_trailer trailer = detail::decode_trailer_chain(
-        wire.subspan(body, rpc::secure_trailer_bytes));
-    if (status != nullptr) status->epoch = trailer.key_epoch;
-
-    crypto::aead_tag_accumulator tag;
-    core::checksum_tap8 tap(acc);
-    core::aead_decrypt_stage<Cipher> dec(control_cipher, tag);
-    auto loop = core::make_pipeline(tap, dec);
-    loop.run(mem, src.slice(0, body), core::span_dest(staging.first(body)));
-    counters.fused_loop_bytes += body;
-    counters.cipher_bytes += body;
-    detail::checksum_chain(mem, acc,
-                           wire.subspan(body, rpc::secure_trailer_bytes));
-    counters.checksum_pass_bytes += rpc::secure_trailer_bytes;
-
-    if (tag.fold() != trailer.tag) {
-        if (status != nullptr) status->cause = secure_rx_cause::tag_mismatch;
-        return {acc.folded(), false};
-    }
-    if (status != nullptr) status->cause = secure_rx_cause::ok;
-    ++counters.messages;
-    return {acc.folded(), true};
+    return receive_layered<v3_framing<Cipher>>(mem, chain, wire, resolve,
+                                               out_header, status, counters);
 }
 
 }  // namespace ilp::app

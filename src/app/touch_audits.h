@@ -4,11 +4,11 @@
 // `memsim::touch_map` shadowing the payload-carrying buffers, then asks the
 // analyzer (analysis/touch_audit.h) to verify the Figure 13 property: every
 // source byte read exactly once, every destination byte written exactly
-// once, nothing else.  The send driver replicates `send_message_ilp`'s
-// composition and part schedule over a plain destination span (no TCP ring
-// needed — the loop is identical); the receive driver calls the genuine
-// `receive_reply_ilp`.  Both round-trip the payload so a cipher or plan bug
-// fails loudly rather than producing a clean-but-wrong audit.
+// once, nothing else.  The send driver runs the genuine `fill_message_ilp`
+// over a one-piece ring span standing in for the TCP ring reservation; the
+// receive drivers call the genuine `receive_reply_ilp`.  Both round-trip the
+// payload so a cipher or plan bug fails loudly rather than producing a
+// clean-but-wrong audit.
 //
 // `ilp-lint --audit` runs these as the dynamic half of the lint pass;
 // tests/analysis_test.cpp runs them plus a seeded double-reading stage that
@@ -20,9 +20,7 @@
 
 #include "analysis/touch_audit.h"
 #include "buffer/byte_buffer.h"
-#include "checksum/internet_checksum.h"
 #include "core/fused_pipeline.h"
-#include "core/message_plan.h"
 #include "core/stage.h"
 #include "crypto/block_cipher.h"
 #include "memsim/configs.h"
@@ -31,9 +29,10 @@
 #include "rpc/messages.h"
 #include "util/rng.h"
 
-// The receive driver needs the real path; include it last to keep the
-// dependency direction obvious (this header sits above the paths).
+// The drivers need the real paths; include them last to keep the dependency
+// direction obvious (this header sits above the paths).
 #include "app/receive_path.h"
+#include "app/send_path.h"
 
 namespace ilp::app {
 
@@ -53,8 +52,9 @@ inline rpc::reply_header audit_header(std::size_t payload_bytes) {
     return h;
 }
 
-// Builds the encrypted wire image of an audit reply with a plain
-// direct-memory send pass (unaudited — this is the fixture, not the subject).
+// Builds the encrypted wire image of an audit reply with the fused send
+// path over direct memory (unaudited — this is the fixture, not the
+// subject).
 template <crypto::block_cipher Cipher>
 void build_wire(const Cipher& cipher, const rpc::reply_layout& layout,
                 std::span<const std::byte> payload,
@@ -63,23 +63,14 @@ void build_wire(const Cipher& cipher, const rpc::reply_layout& layout,
     const core::gather_source src =
         rpc::make_reply_source(detail::audit_header(payload.size()), payload,
                                staging);
-    const memsim::direct_memory mem;
-    checksum::inet_accumulator acc;
-    core::encrypt_stage<Cipher> enc(cipher);
-    core::checksum_tap8 tap(acc);
-    auto loop = core::make_pipeline(enc, tap);
-    const core::scatter_dest dst = core::span_dest(wire);
-    for (const core::message_part& part : layout.plan.ilp_order()) {
-        if (part.empty()) continue;
-        loop.run(mem, src.slice(part.offset, part.len),
-                 dst.slice(part.offset, part.len));
-    }
+    fill_message_ilp(memsim::direct_memory{}, cipher, src, layout.plan,
+                     ring_span{wire, {}});
 }
 
 }  // namespace detail
 
-// Audits the fused send composition: encrypt+checksum over the B,C,A part
-// schedule, application memory -> wire image.
+// Audits the fused send path: the genuine fill_message_ilp, application
+// memory -> wire image.
 template <crypto::block_cipher Cipher>
 audit_outcome audit_fused_send(const Cipher& cipher,
                                std::size_t payload_bytes = 1024) {
@@ -97,27 +88,15 @@ audit_outcome audit_fused_send(const Cipher& cipher,
     map.watch("msg-payload", payload.data(), payload.size());
     map.watch("wire", wire.data(), wire.size());
     sys.set_touch_map(&map);
-    const memsim::sim_memory mem(sys);
-
-    checksum::inet_accumulator acc;
-    core::encrypt_stage<Cipher> enc(cipher);
-    core::checksum_tap8 tap(acc);
-    auto loop = core::make_pipeline(enc, tap);
-    ILP_EXPECT(layout.plan.well_formed() &&
-               layout.plan.aligned_for(decltype(loop)::required_alignment));
-    const core::scatter_dest dst = core::span_dest(wire.span());
-    for (const core::message_part& part : layout.plan.ilp_order()) {
-        if (part.empty()) continue;
-        loop.run(mem, src.slice(part.offset, part.len),
-                 dst.slice(part.offset, part.len));
-    }
+    fill_message_ilp(memsim::sim_memory(sys), cipher, src, layout.plan,
+                     ring_span{wire.span(), {}});
     sys.set_touch_map(nullptr);
 
     audit_outcome out;
     out.findings = analysis::audit_touches(
         map,
         {{"msg-staging", 1, 0}, {"msg-payload", 1, 0}, {"wire", 0, 1}},
-        "src/app/send_path.h:send_message_ilp", "app-send-ilp");
+        "src/app/send_path.h:fill_message_ilp", "app-send-ilp");
 
     // Round trip: decrypt the wire with a plain pass and compare payloads.
     byte_buffer plain(layout.wire_bytes);
@@ -129,6 +108,7 @@ audit_outcome audit_fused_send(const Cipher& cipher,
                  core::span_dest(plain.span()));
     }
     out.round_trip_ok =
+        payload_bytes == 0 ||
         std::memcmp(plain.data() + rpc::reply_payload_offset, payload.data(),
                     payload_bytes) == 0;
     return out;
@@ -168,8 +148,9 @@ audit_outcome audit_fused_receive(const Cipher& cipher,
         map, {{"wire", 1, 0}, {"reply-dest", 0, 1}},
         "src/app/receive_path.h:receive_reply_ilp", "app-recv-reply-ilp");
     out.round_trip_ok =
-        result.ok &&
-        std::memcmp(dest.data(), payload.data(), payload_bytes) == 0;
+        result.ok && (payload_bytes == 0 ||
+                      std::memcmp(dest.data(), payload.data(),
+                                  payload_bytes) == 0);
     return out;
 }
 
@@ -229,8 +210,9 @@ audit_outcome audit_zero_copy_receive(const Cipher& cipher,
         "app-recv-zero-copy");
     out.findings.insert(out.findings.end(), copies.begin(), copies.end());
     out.round_trip_ok =
-        result.ok &&
-        std::memcmp(dest.data(), payload.data(), payload_bytes) == 0;
+        result.ok && (payload_bytes == 0 ||
+                      std::memcmp(dest.data(), payload.data(),
+                                  payload_bytes) == 0);
     return out;
 }
 

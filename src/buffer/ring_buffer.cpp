@@ -8,24 +8,6 @@ ring_buffer::ring_buffer(std::size_t capacity) : storage_(capacity) {
     ILP_EXPECT(capacity > 0);
 }
 
-ring_span ring_buffer::reserve(std::size_t n) {
-    ILP_EXPECT(tail_reserved_ == 0);  // no mixing with stacked reservations
-    ILP_EXPECT(n <= free_space());
-    const std::size_t start = write_index();
-    const std::size_t until_end = capacity() - start;
-    if (n <= until_end) {
-        return {storage_.subspan(start, n), {}};
-    }
-    return {storage_.subspan(start, until_end),
-            storage_.subspan(0, n - until_end)};
-}
-
-void ring_buffer::commit(std::size_t n) {
-    ILP_EXPECT(tail_reserved_ == 0);
-    ILP_EXPECT(n <= free_space());
-    size_ += n;
-}
-
 ring_span ring_buffer::reserve_tail(std::size_t n) {
     ILP_EXPECT(n <= free_space());
     const std::size_t start = (front_ + size_ + tail_reserved_) % capacity();
@@ -45,13 +27,13 @@ void ring_buffer::commit_tail(std::size_t n) {
 }
 
 void ring_buffer::push(std::span<const std::byte> data) {
-    const ring_span dst = reserve(data.size());
+    const ring_span dst = reserve_tail(data.size());
     std::memcpy(dst.first.data(), data.data(), dst.first.size());
     if (!dst.second.empty()) {
         std::memcpy(dst.second.data(), data.data() + dst.first.size(),
                     dst.second.size());
     }
-    commit(data.size());
+    commit_tail(data.size());
 }
 
 const_ring_span ring_buffer::peek(std::size_t offset, std::size_t n) const {

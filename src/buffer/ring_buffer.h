@@ -60,28 +60,17 @@ public:
     }
     bool empty() const noexcept { return size_ == 0; }
 
-    // Reserves n bytes of writable space after the current content; the
-    // reservation is only made permanent by commit().  n must fit in
-    // free_space().  Calling reserve again before commit re-issues the same
-    // space.
-    ring_span reserve(std::size_t n);
-
-    // Publishes the first n bytes of the most recent reservation.
-    void commit(std::size_t n);
-
-    // Stacked tail reservations (the pipelined dataplane's form): each call
-    // claims the next n bytes after all previously reserved-but-uncommitted
-    // tail space, so several segments can be reserved — and filled by a
-    // later pipeline stage — before any of them is published.  Reserved
-    // space is excluded from free_space(); commit_tail() publishes the
-    // oldest n reserved bytes (commits are strictly FIFO, matching the
-    // in-order completion stage).  Must not be mixed with an outstanding
-    // legacy reserve()/commit() pair.
+    // Stacked tail reservations: each call claims the next n bytes after
+    // all previously reserved-but-uncommitted tail space, so several
+    // segments can be reserved — and filled by a later pipeline stage —
+    // before any of them is published.  Reserved space is excluded from
+    // free_space(); commit_tail() publishes the oldest n reserved bytes
+    // (commits are strictly FIFO, matching the in-order completion stage).
     ring_span reserve_tail(std::size_t n);
     void commit_tail(std::size_t n);
     std::size_t tail_reserved() const noexcept { return tail_reserved_; }
 
-    // Copies `data` into the ring (reserve + memcpy + commit).
+    // Copies `data` into the ring (reserve_tail + memcpy + commit_tail).
     void push(std::span<const std::byte> data);
 
     // Read-only view of n bytes starting `offset` bytes after the front.
@@ -95,8 +84,8 @@ public:
 
     void clear();
 
-    // Offset inside the backing storage where the next reserved byte lands;
-    // the ILP loop uses it to know where its destination pointer wraps.
+    // Offset inside the backing storage where the next published byte
+    // lands (the first tail reservation starts here).
     std::size_t write_index() const noexcept {
         return (front_ + size_) % capacity();
     }

@@ -43,7 +43,7 @@ std::vector<analysis::finding> register_rpc_pipelines(
 
     using trailer_recv = core::fused_pipeline<core::checksum_tap8, dec>;
     take(registry.add(fused_model(
-        "rpc-trailer-recv", "src/rpc/trailer.h:parse_trailer",
+        "rpc-trailer-recv", "src/rpc/trailer.h:read_trailer",
         trailer_recv::footprints(), trailer_recv::unit_bytes)));
 
     // Trailer framing with CRC-32 integrity: the ordering-constrained tap

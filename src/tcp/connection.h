@@ -108,7 +108,7 @@ struct sender_stats {
     std::uint64_t retransmissions = 0;
     std::uint64_t acks_received = 0;
     std::uint64_t bad_acks = 0;  // checksum/parse failures on ACK packets
-    std::uint64_t send_blocked = 0;  // send_message refused: no buffer/window
+    std::uint64_t send_blocked = 0;  // reservation refused: no buffer/window
     std::uint64_t rsts_sent = 0;      // give-up notifications to the peer
     std::uint64_t window_probes = 0;  // zero-window persist probes
     std::uint64_t resets = 0;         // reset() calls (re-establishments)
@@ -166,53 +166,29 @@ public:
         return std::min(ring_.free_space(), window_left);
     }
 
-    // Sends one application message as exactly one TPDU (ALF).  `fill`
-    // receives the ring reservation and writes `wire_len` payload bytes into
-    // it through this connection's memory policy; it returns the folded
-    // payload checksum if the data path accumulated one (the ILP loop), or
-    // nullopt to request the separate tcp_output checksum pass (the non-ILP
-    // path).  Returns false — without running `fill` — when buffer or peer
-    // window space is insufficient.
+    // Sends one application message as exactly one TPDU (ALF):
+    // reserve_segment → fill → commit_segment.  `fill` receives the ring
+    // reservation and writes `wire_len` payload bytes into it through this
+    // connection's memory policy; it returns the folded payload checksum if
+    // the data path accumulated one (the ILP loop), or nullopt to request
+    // the separate tcp_output checksum pass (the non-ILP path).  Returns
+    // false — without running `fill` — when buffer or peer window space is
+    // insufficient.
     template <typename Filler>
     bool send_message(std::size_t wire_len, Filler&& fill) {
-        ILP_EXPECT(wire_len > 0);
-        ILP_EXPECT(wire_len + header_bytes <= net::datagram_pipe::max_packet_bytes);
-        if (wire_len > sendable_bytes()) {
-            ++stats_.send_blocked;
-            return false;
-        }
-        ILP_OBS_SPAN("tcp", "segmentize");
-        const ring_span dst = ring_.reserve(wire_len);
-        std::optional<std::uint16_t> payload_sum = fill(dst);
-        ring_.commit(wire_len);
-
-        segment_meta meta;
-        meta.seq = snd_nxt_;
-        meta.len = wire_len;
-        if (payload_sum.has_value()) {
-            meta.payload_sum = *payload_sum;
-        } else {
-            // tcp_output's own checksum pass over the ring (non-ILP step 4).
-            ILP_OBS_SPAN("tcp", "checksum");
-            meta.payload_sum = checksum_over_ring(snd_nxt_ - snd_una_, wire_len);
-        }
-        meta.first_sent_at = clock_->now();
-        unacked_.push_back(meta);
-        snd_nxt_ += static_cast<std::uint32_t>(wire_len);
-        ++stats_.messages_sent;
-        transmit(meta);
-        arm_rto();
+        const std::optional<pending_segment> p = reserve_segment(wire_len);
+        if (!p.has_value()) return false;
+        commit_segment(*p, fill(p->dst));
         return true;
     }
 
-    // --- pipelined send path (pipeline/stage_runner.h) ---------------------
-    // reserve_segment/commit_segment split send_message in two so the fused
-    // data-manipulation loop can run as its own pipeline stage: segmentize
-    // reserves ring and window space for the segment (at the sequence number
-    // it will hold once every earlier reservation commits), the fused stage
-    // fills `dst`, and the completion stage commits strictly in FIFO order —
-    // publishing the bytes, queueing the retransmission metadata and
-    // transmitting exactly as the serial path would have.
+    // Every send is split in two so the fused data-manipulation loop can run
+    // between the halves — inline for a serial send, or as its own pipeline
+    // stage (pipeline/stage_runner.h): segmentize reserves ring and window
+    // space for the segment (at the sequence number it will hold once every
+    // earlier reservation commits), the fill writes `dst`, and the
+    // completion stage commits strictly in FIFO order — publishing the
+    // bytes, queueing the retransmission metadata and transmitting.
 
     struct pending_segment {
         std::uint32_t seq = 0;
@@ -220,9 +196,8 @@ public:
         ring_span dst;
     };
 
-    // Fails (nullopt, counted as send_blocked) in exactly the states where
-    // the serial send_message would have refused: outstanding reservations
-    // count against both the ring and the peer window.
+    // Fails (nullopt, counted as send_blocked) when the ring or the peer
+    // window has no room; outstanding reservations count against both.
     std::optional<pending_segment> reserve_segment(std::size_t wire_len) {
         ILP_EXPECT(wire_len > 0);
         ILP_EXPECT(wire_len + header_bytes <=
@@ -240,8 +215,11 @@ public:
         return p;
     }
 
-    // FIFO-only: `p` must be the oldest outstanding reservation.
-    void commit_segment(const pending_segment& p, std::uint16_t payload_sum) {
+    // FIFO-only: `p` must be the oldest outstanding reservation.  A nullopt
+    // sum runs tcp_output's own checksum pass over the committed bytes (the
+    // non-ILP step 4).
+    void commit_segment(const pending_segment& p,
+                        std::optional<std::uint16_t> payload_sum) {
         ILP_EXPECT(p.seq == snd_nxt_);
         ILP_EXPECT(pending_bytes_ >= p.len);
         ring_.commit_tail(p.len);
@@ -249,7 +227,12 @@ public:
         segment_meta meta;
         meta.seq = p.seq;
         meta.len = p.len;
-        meta.payload_sum = payload_sum;
+        if (payload_sum.has_value()) {
+            meta.payload_sum = *payload_sum;
+        } else {
+            ILP_OBS_SPAN("tcp", "checksum");
+            meta.payload_sum = checksum_over_ring(snd_nxt_ - snd_una_, p.len);
+        }
         meta.first_sent_at = clock_->now();
         unacked_.push_back(meta);
         snd_nxt_ += static_cast<std::uint32_t>(p.len);

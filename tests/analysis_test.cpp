@@ -6,6 +6,10 @@
 
 #include <array>
 #include <cstring>
+#include <fstream>
+#include <regex>
+#include <sstream>
+#include <string>
 
 #include "analysis/check.h"
 #include "analysis/diagnostics.h"
@@ -280,6 +284,36 @@ TEST(Registry, EveryRegisteredStackPipelineIsLegal) {
     EXPECT_GE(registry.models().size(), 10u);
     EXPECT_EQ(error_count(at_registration), 0u);
     EXPECT_EQ(error_count(registry.check_all()), 0u);
+}
+
+TEST(Registry, EverySiteNamesAFunctionInAnExistingFile) {
+    // A site is "<path from the repo root>:<function>", where the function
+    // may be qualified ("class::member").  Diagnostics point readers at it,
+    // so it must survive renames: the file exists and mentions every name.
+    analysis::pipeline_registry registry;
+    (void)tcp::register_tcp_pipelines(registry);
+    (void)rpc::register_rpc_pipelines(registry);
+    (void)app::register_app_pipelines(registry);
+    ASSERT_FALSE(registry.models().empty());
+    for (const pipeline_model& m : registry.models()) {
+        const std::size_t colon = m.site.find(':');
+        ASSERT_NE(colon, std::string::npos) << m.name << ": " << m.site;
+        std::ifstream file(std::string(ILP_SOURCE_DIR) + "/" +
+                           m.site.substr(0, colon));
+        ASSERT_TRUE(file.good()) << m.name << ": no file for " << m.site;
+        std::stringstream text;
+        text << file.rdbuf();
+        const std::string body = text.str();
+        std::string names = m.site.substr(colon + 1);
+        for (std::size_t at = 0; at != std::string::npos;) {
+            const std::size_t next = names.find("::", at);
+            const std::string name = names.substr(at, next - at);
+            const std::regex word("\\b" + name + "\\b");
+            EXPECT_TRUE(std::regex_search(body, word))
+                << m.name << ": " << m.site << " does not mention " << name;
+            at = next == std::string::npos ? next : next + 2;
+        }
+    }
 }
 
 TEST(Registry, JsonReportIsWellFormedAndCountsMatch) {

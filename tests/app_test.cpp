@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "app/harness.h"
+#include "crypto/aead.h"
 #include "crypto/safer_k64.h"
 #include "crypto/safer_simplified.h"
 #include "crypto/simple_cipher.h"
@@ -138,6 +139,20 @@ TEST(FileTransfer, CorruptionNeverReachesTheApplication) {
     }
 }
 
+template <crypto::block_cipher Cipher>
+void expect_identical_wire_traffic(transfer_config config) {
+    config.mode = path_mode::ilp;
+    const auto ilp = run_transfer_native<Cipher>(config);
+    config.mode = path_mode::layered;
+    const auto layered = run_transfer_native<Cipher>(config);
+    ASSERT_TRUE(ilp.completed && layered.completed);
+    EXPECT_EQ(ilp.reply_pipe.bytes_sent, layered.reply_pipe.bytes_sent);
+    EXPECT_EQ(ilp.reply_messages, layered.reply_messages);
+    EXPECT_EQ(ilp.server_send.wire_bytes, layered.server_send.wire_bytes);
+    EXPECT_EQ(ilp.metrics.counter("crypto.rekeys"),
+              layered.metrics.counter("crypto.rekeys"));
+}
+
 TEST(FileTransfer, IlpAndLayeredProduceIdenticalWireTraffic) {
     // The two implementations are alternative *implementations* of the same
     // protocol: the receiver must not be able to tell them apart, so a
@@ -146,14 +161,12 @@ TEST(FileTransfer, IlpAndLayeredProduceIdenticalWireTraffic) {
     // directions via wire byte counts and message counts instead.
     transfer_config config;
     config.file_bytes = 4096;
-    config.mode = path_mode::ilp;
-    const auto ilp = run_transfer_native<safer_simplified>(config);
-    config.mode = path_mode::layered;
-    const auto layered = run_transfer_native<safer_simplified>(config);
-    ASSERT_TRUE(ilp.completed && layered.completed);
-    EXPECT_EQ(ilp.reply_pipe.bytes_sent, layered.reply_pipe.bytes_sent);
-    EXPECT_EQ(ilp.reply_messages, layered.reply_messages);
-    EXPECT_EQ(ilp.server_send.wire_bytes, layered.server_send.wire_bytes);
+    expect_identical_wire_traffic<safer_simplified>(config);
+    // Secure wire v3 with rekeying: trailers and key-window advances are
+    // framing, not implementation, so they must not depend on the mode.
+    config.secure = true;
+    config.rekey_interval_bytes = 1024;
+    expect_identical_wire_traffic<crypto::aead_cipher>(config);
 }
 
 TEST(FileTransfer, IlpReducesSimulatedMemoryAccessesBothSides) {
@@ -259,6 +272,132 @@ TEST(FileTransfer, PassStructureMatchesPaperFigures) {
     EXPECT_GT(layered.server_send.checksum_pass_bytes, 0u);
     EXPECT_GT(layered.client_receive.checksum_pass_bytes, 0u);
     EXPECT_GT(layered.client_receive.cipher_pass_bytes, 0u);
+}
+
+TEST(FileTransfer, SendIntoAFullSenderCountsAsBlockedInBothModes) {
+    // A reply larger than the server's whole retransmission ring can never
+    // be reserved: the refusal happens before any data manipulation and is
+    // counted once, whichever implementation would have filled the segment.
+    for (const path_mode mode : {path_mode::ilp, path_mode::layered}) {
+        virtual_clock clock;
+        net::duplex_link request_link(clock, 100);
+        net::duplex_link reply_link(clock, 100);
+        tcp::connection_config request_cfg;
+        tcp::connection_config reply_cfg;
+        reply_cfg.local_port = 6001;
+        reply_cfg.remote_port = 6002;
+        reply_cfg.send_buffer_bytes = 512;
+        file_store store;
+        store.add_random("f", 4096, 1);
+        const std::array<std::byte, safer_simplified::key_bytes> key{};
+        const safer_simplified cipher(key);
+        const memsim::direct_memory mem;
+        file_server<memsim::direct_memory, safer_simplified> server(
+            mem, cipher, clock, request_link, reply_link,
+            tcp::mirrored(request_cfg), reply_cfg, mode, store);
+        file_client<memsim::direct_memory, safer_simplified> client(
+            mem, cipher, clock, request_link, reply_link, request_cfg,
+            tcp::mirrored(reply_cfg), mode);
+
+        rpc::file_request request;
+        request.request_id = 1;
+        request.filename = "f";
+        request.copy_count = 1;
+        request.max_reply_payload =
+            static_cast<std::uint32_t>(rpc::max_payload_for_wire(1024));
+        ASSERT_TRUE(client.request_file(request));
+        clock.advance(10'000);
+        EXPECT_EQ(server.requests_served(), 1u);
+        EXPECT_EQ(server.reply_tcp_stats().send_blocked, 1u)
+            << "mode=" << static_cast<int>(mode);
+        EXPECT_EQ(server.send_counters().messages, 0u);
+        server.quiesce();
+        client.quiesce();
+    }
+}
+
+// Every path_counters field on all four path ends, for each framing and
+// mode on one fixed transfer.  The platform estimator turns these counters
+// into the BENCH_fig08 numbers, so they are pinned exactly.
+struct counter_pin {
+    const char* name;
+    bool secure;
+    std::uint32_t wire_version;
+    path_mode mode;
+    // Each row: messages, payload, wire, fused loop, marshal pass, cipher
+    // pass, checksum pass, copy pass, cipher bytes.
+    path_counters server_send;
+    path_counters client_receive;
+    path_counters server_request;
+    path_counters client_request;
+};
+
+const counter_pin counter_pins[] = {
+    {"plain_ilp", false, rpc::wire_version_secure, path_mode::ilp,
+     {9, 4096, 4352, 4352, 0, 0, 0, 0, 4352},
+     {9, 4096, 4352, 4352, 0, 0, 0, 0, 4352},
+     {1, 0, 48, 48, 0, 0, 0, 0, 48},
+     {1, 0, 48, 48, 0, 0, 0, 0, 48}},
+    {"plain_layered", false, rpc::wire_version_secure, path_mode::layered,
+     {9, 4096, 4352, 0, 4352, 4352, 4352, 4352, 4352},
+     {9, 4096, 4352, 0, 4352, 4352, 4352, 0, 4352},
+     {1, 0, 48, 0, 0, 48, 48, 48, 48},
+     {1, 0, 48, 0, 48, 48, 48, 48, 48}},
+    {"v3_ilp", true, rpc::wire_version_secure, path_mode::ilp,
+     {9, 4096, 4424, 4424, 0, 0, 0, 0, 4352},
+     {9, 4096, 4424, 4352, 0, 0, 72, 0, 4352},
+     {1, 0, 56, 48, 0, 0, 8, 0, 48},
+     {1, 0, 56, 56, 0, 0, 0, 0, 48}},
+    {"v3_layered", true, rpc::wire_version_secure, path_mode::layered,
+     {9, 4096, 4424, 0, 4352, 4352, 4424, 4424, 4352},
+     {9, 4096, 4424, 0, 4352, 4352, 4424, 0, 4352},
+     {1, 0, 56, 0, 0, 48, 56, 48, 48},
+     {1, 0, 56, 0, 48, 48, 56, 56, 48}},
+    {"v2_ilp", true, rpc::wire_version, path_mode::ilp,
+     {9, 4096, 4352, 4352, 0, 0, 0, 0, 4352},
+     {9, 4096, 4352, 4352, 0, 0, 0, 0, 4352},
+     {1, 0, 48, 48, 0, 0, 0, 0, 48},
+     {1, 0, 48, 48, 0, 0, 0, 0, 48}},
+    {"v2_layered", true, rpc::wire_version, path_mode::layered,
+     {9, 4096, 4352, 0, 4352, 4352, 4352, 4352, 4352},
+     {9, 4096, 4352, 0, 4352, 4352, 4352, 0, 4352},
+     {1, 0, 48, 0, 0, 48, 48, 48, 48},
+     {1, 0, 48, 0, 48, 48, 48, 48, 48}},
+};
+
+void expect_counters(const path_counters& got, const path_counters& want,
+                     const std::string& where) {
+    EXPECT_EQ(got.messages, want.messages) << where;
+    EXPECT_EQ(got.payload_bytes, want.payload_bytes) << where;
+    EXPECT_EQ(got.wire_bytes, want.wire_bytes) << where;
+    EXPECT_EQ(got.fused_loop_bytes, want.fused_loop_bytes) << where;
+    EXPECT_EQ(got.marshal_pass_bytes, want.marshal_pass_bytes) << where;
+    EXPECT_EQ(got.cipher_pass_bytes, want.cipher_pass_bytes) << where;
+    EXPECT_EQ(got.checksum_pass_bytes, want.checksum_pass_bytes) << where;
+    EXPECT_EQ(got.copy_pass_bytes, want.copy_pass_bytes) << where;
+    EXPECT_EQ(got.cipher_bytes, want.cipher_bytes) << where;
+}
+
+TEST(FileTransfer, PathCountersArePinnedForEveryFramingAndMode) {
+    for (const counter_pin& pin : counter_pins) {
+        transfer_config config;
+        config.file_bytes = 4096;
+        config.packet_wire_bytes = 512;
+        config.mode = pin.mode;
+        config.secure = pin.secure;
+        config.secure_wire_version = pin.wire_version;
+        config.rekey_interval_bytes = pin.secure ? 1024 : 0;
+        const auto r = run_transfer_native<crypto::aead_cipher>(config);
+        ASSERT_TRUE(r.completed && r.verified) << pin.name;
+        const std::string name = pin.name;
+        expect_counters(r.server_send, pin.server_send, name + " server send");
+        expect_counters(r.client_receive, pin.client_receive,
+                        name + " client receive");
+        expect_counters(r.server_request, pin.server_request,
+                        name + " server request receive");
+        expect_counters(r.client_request, pin.client_request,
+                        name + " client request send");
+    }
 }
 
 }  // namespace

@@ -53,11 +53,11 @@ TEST(RingBuffer, PushPeekRelease) {
 
 TEST(RingBuffer, ReserveCommitContiguous) {
     ring_buffer ring(64);
-    const ring_span span = ring.reserve(16);
+    const ring_span span = ring.reserve_tail(16);
     EXPECT_EQ(span.first.size(), 16u);
     EXPECT_TRUE(span.second.empty());
     std::memset(span.first.data(), 0xab, 16);
-    ring.commit(16);
+    ring.commit_tail(16);
     EXPECT_EQ(ring.size(), 16u);
     const auto out = read_all(ring, 0, 16);
     for (const std::byte b : out) EXPECT_EQ(b, std::byte{0xab});
@@ -67,13 +67,13 @@ TEST(RingBuffer, ReservationWrapsAroundEnd) {
     ring_buffer ring(32);
     ring.push(pattern(24));
     ring.release(20);  // front = 20, size = 4, write index = 24
-    const ring_span span = ring.reserve(16);
+    const ring_span span = ring.reserve_tail(16);
     EXPECT_EQ(span.first.size(), 8u);   // bytes 24..31
     EXPECT_EQ(span.second.size(), 8u);  // bytes 0..7
     const auto data = pattern(16, 100);
     std::memcpy(span.first.data(), data.data(), 8);
     std::memcpy(span.second.data(), data.data() + 8, 8);
-    ring.commit(16);
+    ring.commit_tail(16);
     EXPECT_EQ(read_all(ring, 4, 16), data);
 }
 

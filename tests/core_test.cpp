@@ -318,13 +318,13 @@ TEST(FusedPipeline, RingDestinationHandlesWrap) {
     // Push+release to force the next reservation to wrap.
     ring.push(random_bytes(80, 11));
     ring.release(80);
-    const ring_span reservation = ring.reserve(64);
+    const ring_span reservation = ring.reserve_tail(64);
     ASSERT_FALSE(reservation.second.empty());  // really wraps
 
     direct_memory mem;
     fused_pipeline<> copy_pipe;
     copy_pipe.run(mem, span_source(payload), ring_dest(reservation));
-    ring.commit(64);
+    ring.commit_tail(64);
 
     std::vector<std::byte> out(64);
     ring.copy_out(0, out);

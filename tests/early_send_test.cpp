@@ -48,6 +48,22 @@ std::array<std::byte, 8> key() {
     return k;
 }
 
+// The standard (delay-everything) ILP send: reserve the segment, run the
+// fused fill into it, commit.
+bool send_ilp(fixture& f, const crypto::safer_simplified& cipher,
+              const core::gather_source& src, const core::message_plan& plan,
+              path_counters& counters) {
+    const bool sent =
+        f.sender.send_message(plan.total_bytes, [&](const ring_span& dst) {
+            return fill_message_ilp(direct_memory{}, cipher, src, plan, dst);
+        });
+    if (sent) {
+        count_sent(counters, path_mode::ilp, plan.total_bytes,
+                   plan.total_bytes);
+    }
+    return sent;
+}
+
 rpc::reply_header header_for(std::uint32_t offset) {
     rpc::reply_header h;
     h.request_id = 1;
@@ -70,8 +86,7 @@ TEST(EarlySend, WireIdenticalToStandardIlpPath) {
 
     fixture standard;
     path_counters std_counters;
-    ASSERT_TRUE(send_message_ilp(standard.sender, direct_memory{}, cipher,
-                                 src1, layout.plan, std_counters));
+    ASSERT_TRUE(send_ilp(standard, cipher, src1, layout.plan, std_counters));
     standard.clock.advance(1000);
 
     fixture early;
@@ -100,9 +115,9 @@ TEST(EarlySend, ManipulatesWhileBufferFullThenFlushes) {
     rpc::reply_staging s1;
     const auto first =
         rpc::make_reply_source(header_for(0), filler_payload, s1);
-    ASSERT_TRUE(send_message_ilp(f.sender, direct_memory{}, cipher, first,
-                                 rpc::layout_reply(filler_payload.size()).plan,
-                                 counters));
+    ASSERT_TRUE(send_ilp(f, cipher, first,
+                         rpc::layout_reply(filler_payload.size()).plan,
+                         counters));
     EXPECT_EQ(f.sender.sendable_bytes(), 0u);
 
     // The second message cannot enter TCP yet — but early manipulation
@@ -154,8 +169,7 @@ TEST(EarlySend, CostsOneExtraPass) {
 
     fixture a, b;
     path_counters std_counters, early_counters;
-    ASSERT_TRUE(send_message_ilp(a.sender, direct_memory{}, cipher, src1,
-                                 layout.plan, std_counters));
+    ASSERT_TRUE(send_ilp(a, cipher, src1, layout.plan, std_counters));
     early_sender<direct_memory, crypto::safer_simplified> stage(
         direct_memory{}, cipher, 4096);
     stage.prepare(src2, layout.plan, early_counters);

@@ -296,8 +296,14 @@ app::secure_rx_status receive_into(secure_fixture& f,
                              std::size_t n) -> std::span<std::byte> {
         return dest.size() >= n ? dest.subspan(0, n) : std::span<std::byte>{};
     };
-    app::receive_reply_secure(mode, direct_memory{}, chain, f.wire.span(),
-                              resolve, &header, &status, counters);
+    if (mode == app::path_mode::ilp) {
+        app::receive_reply_secure_ilp(direct_memory{}, chain, f.wire.span(),
+                                      resolve, &header, &status, counters);
+    } else {
+        app::receive_reply_secure_layered(direct_memory{}, chain,
+                                          f.wire.span(), resolve, &header,
+                                          &status, counters);
+    }
     return status;
 }
 
@@ -370,9 +376,9 @@ TEST(SecureReceive, ChainMatchesSpanIncludingTrailerSplits) {
             return dest.size() >= n ? dest.span().subspan(0, n)
                                     : std::span<std::byte>{};
         };
-        const auto result = app::receive_reply_secure(
-            app::path_mode::ilp, direct_memory{}, kc, wire_chain, resolve,
-            &header, &status, counters);
+        const auto result = app::receive_reply_secure_ilp(
+            direct_memory{}, kc, wire_chain, resolve, &header, &status,
+            counters);
         EXPECT_TRUE(result.ok) << "split=" << split;
         EXPECT_EQ(status.cause, app::secure_rx_cause::ok) << "split=" << split;
         EXPECT_EQ(std::memcmp(dest.data(), f.payload.data(),

@@ -121,7 +121,7 @@ std::vector<analysis::finding> run_audits() {
     out.insert(out.end(), zc.findings.begin(), zc.findings.end());
     if (!send.round_trip_ok) {
         out.push_back({analysis::severity::error, "A0-audit-fixture",
-                       "src/app/send_path.h:send_message_ilp", "app-send-ilp",
+                       "src/app/send_path.h:fill_message_ilp", "app-send-ilp",
                        "audit payload failed to round-trip through the fused "
                        "send path; the audit result is not trustworthy",
                        {}});
