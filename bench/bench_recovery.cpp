@@ -2,10 +2,11 @@
 //
 // Three reply-link regimes with fixed seeds — clean, 1 % Bernoulli loss and
 // Gilbert–Elliott bursty loss — each run on both data paths.  Emits the
-// versioned BENCH JSON schema (recorded as BENCH_recovery.json at the repo
-// root) so `ilp-trace --diff` can gate later changes to the retry and
-// retransmission machinery.  `--json=PATH` additionally writes the report
-// to a file.
+// versioned BENCH JSON schema (recorded as
+// bench/baselines/BENCH_recovery.json) so `ilp-trace --diff` can gate later
+// changes to the retry and retransmission machinery.  `--json=PATH`
+// additionally writes the report to a file.  Exits 1 when a lossy regime
+// drops no packet: its recovery figures would then measure a clean run.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -31,16 +32,17 @@ int main(int argc, char** argv) {
 
     struct regime {
         const char* name;
+        bool lossy;
         void (*apply)(app::transfer_config&);
     };
     const std::vector<regime> regimes = {
-        {"clean", [](app::transfer_config&) {}},
-        {"bernoulli_1pct",
+        {"clean", false, [](app::transfer_config&) {}},
+        {"bernoulli_1pct", true,
          [](app::transfer_config& c) {
              c.forward_faults.drop_probability = 0.01;
-             c.forward_faults.seed = 11;
+             c.forward_faults.seed = 13;
          }},
-        {"gilbert_elliott_burst",
+        {"gilbert_elliott_burst", true,
          [](app::transfer_config& c) {
              c.forward_faults.burst.enabled = true;
              c.forward_faults.burst.p_good_to_bad = 0.05;
@@ -54,6 +56,15 @@ int main(int argc, char** argv) {
     report.meta("file_kb", "128");
     report.meta("packet_bytes", "1024");
     report.meta("cipher", "safer_simplified");
+
+    // A lossy regime must actually lose packets.
+    bool vacuous = false;
+    const auto check_fired = [&vacuous](const std::string& key, bool lossy,
+                                        const app::transfer_result& result) {
+        if (!lossy || result.reply_pipe.packets_dropped != 0) return;
+        std::fprintf(stderr, "ERROR: %s dropped no packet\n", key.c_str());
+        vacuous = true;
+    };
 
     for (const regime& r : regimes) {
         for (const app::path_mode mode :
@@ -70,6 +81,7 @@ int main(int argc, char** argv) {
             const std::string key =
                 std::string(r.name) + "." +
                 (mode == app::path_mode::ilp ? "ilp" : "layered");
+            check_fired(key, r.lossy, result);
             const auto count = [&](const char* name, std::uint64_t v,
                                    obs::direction dir) {
                 report.metric(key + "." + name, static_cast<double>(v),
@@ -137,6 +149,7 @@ int main(int argc, char** argv) {
         const std::string key =
             std::string("rekey_under_load.") +
             (mode == app::path_mode::ilp ? "ilp" : "layered");
+        check_fired(key, true, result);
         report.metric(key + ".completed",
                       result.completed && result.verified ? 1.0 : 0.0, "bool",
                       obs::direction::higher_is_better);
@@ -169,5 +182,5 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "ERROR: cannot write %s\n", json_path.c_str());
         return 1;
     }
-    return 0;
+    return vacuous ? 1 : 0;
 }

@@ -81,9 +81,9 @@ private:
 template <memsim::memory_policy Mem, crypto::block_cipher Cipher>
 class file_server {
 public:
-    // Unwired form: the caller owns packet routing (the multi-flow engine's
-    // port demux feeds on_request_packet / on_reply_ack_packet); only the
-    // two outbound pipes are attached here.
+    // The caller owns packet routing (the engine's port demuxes feed
+    // on_request_packet / on_request_segment / on_reply_ack_packet); only
+    // the two outbound pipes are attached here.
     file_server(const Mem& mem, const Cipher& cipher, virtual_clock& clock,
                 net::datagram_pipe& request_ack_out,
                 net::datagram_pipe& reply_data_out,
@@ -122,34 +122,6 @@ public:
             [this](std::size_t wire_len) { on_request(wire_len); });
     }
 
-    // Single-flow wiring: this server is the only listener on both links, so
-    // it installs itself as the raw pipe receiver.
-    file_server(const Mem& mem, const Cipher& cipher, virtual_clock& clock,
-                net::duplex_link& request_link, net::duplex_link& reply_link,
-                const tcp::connection_config& request_cfg,
-                const tcp::connection_config& reply_cfg, path_mode mode,
-                const file_store& store, const secure_params& secure = {})
-        : file_server(mem, cipher, clock, request_link.reverse(),
-                      reply_link.forward(), request_cfg, reply_cfg, mode,
-                      store, secure) {
-        // Packet handlers fire from inside clock.advance() (delivery timers),
-        // outside pump()/poll() — the attribution scope must travel with
-        // them, or their memory traffic would be charged to no side.
-        if (request_cfg.zero_copy) {
-            // Zero-copy receive: the pipe loans each delivered segment as a
-            // (possibly two-span) chain over its receive ring instead of
-            // staging a user-space copy.  The loan is valid only for the
-            // duration of the handler call.
-            request_link.forward().set_segment_receiver(
-                [this](const const_ring_span& s) { on_request_segment(s); });
-        } else {
-            request_link.forward().set_receiver(
-                [this](std::span<const std::byte> p) { on_request_packet(p); });
-        }
-        reply_link.reverse().set_receiver(
-            [this](std::span<const std::byte> p) { on_reply_ack_packet(p); });
-    }
-
     // Packet entry points; the attribution scope travels with them because
     // they also fire from inside clock.advance() (delivery timers).
     void on_request_packet(std::span<const std::byte> p) {
@@ -163,20 +135,15 @@ public:
     void on_reply_ack_packet(std::span<const std::byte> p) {
         ILP_OBS_ATTR("server", obs_src_);
         reply_tx_.on_ack_packet(p);
-        if (auto_pump_) pump();  // freed window: continue segmenting
     }
-
-    // When off, ACK arrival and request acceptance only record state and the
-    // caller meters every segment out through pump_one() — how the engine's
-    // deficit-round-robin policy charges bytes per grant.
-    void set_auto_pump(bool on) noexcept { auto_pump_ = on; }
 
     // Disarms pending TCP timers.  Required before destroying a server whose
     // clock lives on (engine flow teardown): armed timers capture `this`.
     void quiesce() { reply_tx_.quiesce(); }
 
-    // Makes forward progress on pending reply streams; idempotent, called
-    // from the run loop and from the ACK handler.
+    // Sends every reply segment TCP has buffer and window space for.  ACK
+    // arrival and request acceptance only record state: the caller meters
+    // segments out through pump_one() or pump() (the engine's scheduler).
     void pump() {
         while (pump_one() != 0) {
         }
@@ -340,11 +307,6 @@ public:
         return 0;
     }
 
-    bool idle() const {
-        return jobs_.empty() && reply_tx_.idle() && !reply_tx_.failed();
-    }
-    bool failed() const { return reply_tx_.failed(); }
-
     const path_counters& send_counters() const noexcept { return tx_counters_; }
     const path_counters& request_counters() const noexcept {
         return rx_counters_;
@@ -475,7 +437,6 @@ private:
         }
         if (job.copy >= request->copy_count) job.finished = true;
         jobs_.push_back(std::move(job));
-        if (auto_pump_) pump();
     }
 
     static std::size_t next_payload_len(const reply_job& job) {
@@ -500,7 +461,6 @@ private:
     byte_buffer layered_staging_;
     byte_buffer request_staging_;
     std::deque<reply_job> jobs_;
-    bool auto_pump_ = true;
     path_counters tx_counters_;
     path_counters rx_counters_;
     std::uint64_t requests_served_ = 0;
@@ -515,8 +475,8 @@ private:
 template <memsim::memory_policy Mem, crypto::block_cipher Cipher>
 class file_client {
 public:
-    // Unwired form: the caller routes packets to on_request_ack_packet /
-    // on_reply_packet; only the outbound pipes are attached here.
+    // The caller routes packets to on_request_ack_packet / on_reply_packet
+    // / on_reply_segment; only the outbound pipes are attached here.
     file_client(const Mem& mem, const Cipher& cipher, virtual_clock& clock,
                 net::datagram_pipe& request_data_out,
                 net::datagram_pipe& reply_ack_out,
@@ -547,32 +507,6 @@ public:
                 });
         }
         reply_rx_.set_accept_handler([this](std::size_t) { commit_reply(); });
-    }
-
-    // Single-flow wiring: sole listener on both links.
-    file_client(const Mem& mem, const Cipher& cipher, virtual_clock& clock,
-                net::duplex_link& request_link, net::duplex_link& reply_link,
-                const tcp::connection_config& request_cfg,
-                const tcp::connection_config& reply_cfg, path_mode mode,
-                const retry_policy& retry = {},
-                const secure_params& secure = {})
-        : file_client(mem, cipher, clock, request_link.forward(),
-                      reply_link.reverse(), request_cfg, reply_cfg, mode,
-                      retry, secure) {
-        request_link.reverse().set_receiver(
-            [this](std::span<const std::byte> p) {
-                on_request_ack_packet(p);
-            });
-        if (reply_cfg.zero_copy) {
-            // Zero-copy receive: the pipe loans each delivered segment as a
-            // chain over its receive ring (valid only for the duration of
-            // the handler call) instead of staging a user-space copy.
-            reply_link.forward().set_segment_receiver(
-                [this](const const_ring_span& s) { on_reply_segment(s); });
-        } else {
-            reply_link.forward().set_receiver(
-                [this](std::span<const std::byte> p) { on_reply_packet(p); });
-        }
     }
 
     // Packet entry points; attribution travels with them (they fire from

@@ -1,5 +1,6 @@
-// Experiment harness: wires a client and a server together over loop-back
-// links and drives one complete file transfer on the virtual clock.
+// Experiment harness: one complete file transfer between a client and a
+// server over loop-back links, driven on the virtual clock as a one-flow
+// engine shard (engine/shard.h) — the same wiring every fleet flow gets.
 //
 // This is the unit every benchmark runs: the paper's measurements transmit
 // "a 15 kbyte file with varying message sizes ... several times from a
@@ -7,7 +8,6 @@
 // loop back mode" (§4.1).
 #pragma once
 
-#include <array>
 #include <string>
 
 #include "app/file_transfer.h"
@@ -110,24 +110,29 @@ struct transfer_result {
 // Runs one transfer with the given memory policies (one per side — e.g. two
 // sim_memory instances over distinct memory systems, or two direct_memory).
 //
-// The transfer itself is a one-flow engine shard in legacy mode (see
-// engine/shard.h): the shard reproduces the historical wiring — fixed ports,
-// untagged fault streams, pump/poll/advance cadence — so this wrapper's
-// results are bit-identical to the pre-engine harness, while multi-flow
-// callers use engine::run_fleet over the same machinery.
+// The transfer is an ordinary one-flow engine shard (see engine/shard.h),
+// wired exactly as every fleet flow is: allocated ports, flow 0's tag (its
+// fault coins come from that tag's stream), port demuxes and
+// scheduler-metered sends on the shard's tick cadence.  So its flow
+// outcome equals engine::run_fleet's for the same flow.
 template <memsim::memory_policy Mem, crypto::block_cipher Cipher>
 transfer_result run_transfer(const transfer_config& config,
                              const Mem& client_mem, const Mem& server_mem,
                              const Cipher& client_cipher,
                              const Cipher& server_cipher) {
     engine::shard_options opts;
-    opts.legacy_single_flow = true;
     opts.link_latency_us = config.link_latency_us;
     opts.poll_step_us = config.poll_step_us;
-    opts.request_forward_faults = config.request_forward_faults;
-    opts.request_reverse_faults = config.request_reverse_faults;
-    opts.reply_forward_faults = config.forward_faults;
-    opts.reply_reverse_faults = config.reverse_faults;
+    // The kernel queue bound belongs to the pipe; every other part of a
+    // fault plan is the flow's own.
+    opts.request_forward_faults.max_queue_packets =
+        config.request_forward_faults.max_queue_packets;
+    opts.request_reverse_faults.max_queue_packets =
+        config.request_reverse_faults.max_queue_packets;
+    opts.reply_forward_faults.max_queue_packets =
+        config.forward_faults.max_queue_packets;
+    opts.reply_reverse_faults.max_queue_packets =
+        config.reverse_faults.max_queue_packets;
     engine::shard<Mem, Cipher> shard(0, opts, client_mem, server_mem);
 
     engine::flow_config fc;
@@ -139,6 +144,10 @@ transfer_result run_transfer(const transfer_config& config,
     fc.file_seed = config.file_seed;
     fc.deadline_us = config.deadline_us;
     fc.zero_copy = config.zero_copy;
+    fc.forward_faults = config.forward_faults;
+    fc.reverse_faults = config.reverse_faults;
+    fc.request_forward_faults = config.request_forward_faults;
+    fc.request_reverse_faults = config.request_reverse_faults;
     fc.secure = config.secure;
     fc.secure_wire_version = config.secure_wire_version;
     fc.rekey_interval_bytes = config.rekey_interval_bytes;
@@ -209,10 +218,7 @@ transfer_result run_transfer(const transfer_config& config,
 // Convenience for native runs: both sides use raw memory.
 template <crypto::block_cipher Cipher>
 transfer_result run_transfer_native(const transfer_config& config) {
-    std::array<std::byte, engine::cipher_key_bytes<Cipher>()> key;
-    rng key_rng(config.key_seed);
-    key_rng.fill(key);
-    const Cipher cipher{std::span<const std::byte>(key)};
+    const Cipher cipher = engine::make_static_cipher<Cipher>(config.key_seed);
     return run_transfer(config, memsim::direct_memory{},
                         memsim::direct_memory{}, cipher, cipher);
 }
@@ -224,10 +230,7 @@ template <crypto::block_cipher Cipher>
 transfer_result run_transfer_simulated(const transfer_config& config,
                                        memsim::memory_system& client_sys,
                                        memsim::memory_system& server_sys) {
-    std::array<std::byte, engine::cipher_key_bytes<Cipher>()> key;
-    rng key_rng(config.key_seed);
-    key_rng.fill(key);
-    const Cipher cipher{std::span<const std::byte>(key)};
+    const Cipher cipher = engine::make_static_cipher<Cipher>(config.key_seed);
     return run_transfer(config, memsim::sim_memory(client_sys),
                         memsim::sim_memory(server_sys), cipher, cipher);
 }

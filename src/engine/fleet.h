@@ -143,6 +143,15 @@ constexpr std::size_t cipher_key_bytes() {
     }
 }
 
+// A flow's static cipher, keyed from the stream of `seed`.
+template <crypto::block_cipher Cipher>
+Cipher make_static_cipher(std::uint64_t seed) {
+    std::array<std::byte, cipher_key_bytes<Cipher>()> key{};
+    rng key_rng(seed);
+    key_rng.fill(key);
+    return Cipher{std::span<const std::byte>(key)};
+}
+
 // Runs `cfg.flows` transfers to completion.  `shard_mems(s)` supplies shard
 // s's (client, server) memory-policy pair — the hook that gives every shard
 // its own memsim::memory_system in simulated runs.
@@ -184,11 +193,8 @@ fleet_report run_fleet(const fleet_config& cfg, MemFactory&& shard_mems) {
         if (fc.secure && fc.flow_secret == 0) {
             fc.flow_secret = derive_seed(cfg.key_seed, 0x5ec00000ull + f);
         }
-        // Per-flow static cipher key, sized for the cipher in use.
-        std::array<std::byte, cipher_key_bytes<Cipher>()> key{};
-        rng key_rng(derive_seed(cfg.key_seed, f));
-        key_rng.fill(key);
-        const Cipher cipher{std::span<const std::byte>(key)};
+        const Cipher cipher =
+            make_static_cipher<Cipher>(derive_seed(cfg.key_seed, f));
         workers[f % cfg.shards]->open_flow(f, fc, cipher, cipher);
     }
 

@@ -1,8 +1,8 @@
 // Multi-flow engine: per-flow configuration and outcome records.
 //
 // The engine (engine/shard.h, engine/fleet.h) runs many simultaneous ILP
-// file transfers — each one the same client/server pair the single-flow
-// harness drives — over *shared* datagram links.  A flow's id keys the
+// file transfers over *shared* datagram links; app::run_transfer is the
+// same machinery with one flow, wired the same way.  A flow's id keys the
 // shard's flow table and stamps every packet the flow emits
 // (tcp::connection_config::net_tag = id + 1), so the shared pipes account
 // each flow's queue occupancy separately and draw its fault coins from a
@@ -24,9 +24,9 @@
 
 namespace ilp::engine {
 
-// Mirrors the single-flow transfer_config knobs that are per-flow by
-// nature; link latency, poll cadence and the shared queue bound live in the
-// shard/fleet options instead.
+// The per-flow knobs of app::transfer_config (run_transfer copies them in,
+// fault plans included); link latency, poll cadence and the shared queue
+// bound live in the shard/fleet options instead.
 struct flow_config {
     app::path_mode mode = app::path_mode::ilp;
     std::size_t file_bytes = 15 * 1024;
@@ -35,11 +35,15 @@ struct flow_config {
     app::retry_policy retry{};
     std::uint64_t file_seed = 0x11aa;
     sim_time deadline_us = 120'000'000;  // per-flow, on the shard's clock
+    // Zero-copy adapter model at both ends: sends skip the counted system
+    // copy, and the shard's demuxes hand received data segments up as
+    // in-place loans (ACKs stay staged spans).
     bool zero_copy = false;
     // Per-flow fault plans, installed for this flow's tag on the shared
     // pipes (reply data / reply ACK / request data / request ACK).  Seeds
     // are stream-split by tag, so two flows with identical plans still draw
-    // independent coins.
+    // independent coins.  The plans' max_queue_packets is not per flow: the
+    // queue bound is the pipe's (shard_options).
     net::fault_config forward_faults{};
     net::fault_config reverse_faults{};
     net::fault_config request_forward_faults{};

@@ -4,7 +4,7 @@
 // the policy how much that flow's server may transmit:
 //
 //   * round_robin — drain until blocked: each visit sends every segment TCP
-//     has window/buffer space for, exactly the single-flow harness cadence.
+//     has window/buffer space for (app::run_transfer's cadence).
 //     Fair in visits, not in bytes: a flow with large segments gets more
 //     link per visit than one with small segments.
 //   * deficit_round_robin — byte-metered (Shreedhar & Varghese): each visit

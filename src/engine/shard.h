@@ -16,11 +16,11 @@
 // their ports to the allocator; their endpoints and outcome stay readable
 // until the shard dies.
 //
-// Legacy mode (`shard_options::legacy_single_flow`) reproduces the
-// historical single-flow harness exactly: fixed ports 5001/5002/6001/6002,
-// untagged sends (tag 0, the pipes' legacy RNG stream), direct pipe
-// receivers instead of demuxes, and the pump()/poll()/advance() cadence —
-// app::run_transfer is a thin wrapper over a one-flow shard.
+// There is one wiring for every flow: app::run_transfer is an ordinary
+// one-flow shard.  Each pipe delivers to its demux twice over — staged
+// spans for copying connections and ACKs, in-place loans for zero-copy
+// connections (net/demux.h) — so a zero_copy flow gets the loaned receive
+// path on a shared link as well as the zero-copy send.
 #pragma once
 
 #include <array>
@@ -30,6 +30,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/gate.h"
@@ -49,9 +50,9 @@ struct shard_options {
     sim_time link_latency_us = 100;
     sim_time poll_step_us = 200;
     // Pipe-level fault plans (request forward/reverse, reply
-    // forward/reverse).  In engine mode these normally carry only the
-    // shared kernel-queue bound; per-flow plans install per tag.  Legacy
-    // mode routes the transfer_config fault plans through here verbatim.
+    // forward/reverse).  These normally carry only the shared kernel-queue
+    // bound: every flow sends on its own tag, whose plan is the flow's
+    // (flow_config::*_faults).
     net::fault_config request_forward_faults{};
     net::fault_config request_reverse_faults{};
     net::fault_config reply_forward_faults{};
@@ -63,7 +64,6 @@ struct shard_options {
     // Local-port range the allocator hands flows (4 ports per flow).
     std::uint16_t first_port = 10'000;
     std::uint16_t last_port = 59'999;
-    bool legacy_single_flow = false;
     // Run the pipelined dataplane's fused stage on a dedicated worker thread
     // per shard.  Only honoured under direct memory (no memsim attribution
     // source): simulated-memory runs demote to inline stepping, which
@@ -98,23 +98,15 @@ public:
             t->set_clock(&clock_);
             t->set_sampler(opts_.trace_sampler);
         }
-        if (!opts_.legacy_single_flow) {
-            request_link_.forward().set_receiver(
-                request_fwd_demux_.receiver());
-            request_link_.reverse().set_receiver(
-                request_rev_demux_.receiver());
-            reply_link_.forward().set_receiver(reply_fwd_demux_.receiver());
-            reply_link_.reverse().set_receiver(reply_rev_demux_.receiver());
-            if (opts_.per_flow_queue_cap != 0) {
-                request_link_.forward().set_per_tag_queue_cap(
-                    opts_.per_flow_queue_cap);
-                request_link_.reverse().set_per_tag_queue_cap(
-                    opts_.per_flow_queue_cap);
-                reply_link_.forward().set_per_tag_queue_cap(
-                    opts_.per_flow_queue_cap);
-                reply_link_.reverse().set_per_tag_queue_cap(
-                    opts_.per_flow_queue_cap);
-            }
+        const std::pair<net::datagram_pipe*, net::port_demux*> pipes[] = {
+            {&request_link_.forward(), &request_fwd_demux_},
+            {&request_link_.reverse(), &request_rev_demux_},
+            {&reply_link_.forward(), &reply_fwd_demux_},
+            {&reply_link_.reverse(), &reply_rev_demux_}};
+        for (const auto& [pipe, demux] : pipes) {
+            pipe->set_receiver(demux->receiver());
+            pipe->set_segment_receiver(demux->segment_receiver());
+            pipe->set_per_tag_queue_cap(opts_.per_flow_queue_cap);
         }
     }
 
@@ -133,19 +125,15 @@ public:
             std::make_unique<flow_entry>(client_cipher, server_cipher);
         flow_entry& e = *holder;
         e.id = id;
-        e.tag = opts_.legacy_single_flow ? 0 : id + 1;
+        e.tag = id + 1;
         e.cfg = cfg;
         e.outcome.flow_id = id;
         e.outcome.shard = index_;
         e.outcome.trace_sampled = opts_.trace_sampler.sampled(id);
-        if (opts_.legacy_single_flow) {
-            e.file = "testfile";
-        } else {
-            // (push_back, not `= "f"`: dodges a GCC 12 -Wrestrict false
-            // positive in the string assignment fast path.)
-            e.file.push_back('f');
-            e.file += std::to_string(id);
-        }
+        // (push_back, not `= "f"`: dodges a GCC 12 -Wrestrict false
+        // positive in the string assignment fast path.)
+        e.file.push_back('f');
+        e.file += std::to_string(id);
         store_.add_random(e.file, cfg.file_bytes, cfg.file_seed);
 
         tcp::connection_config request_cfg;
@@ -154,32 +142,25 @@ public:
         reply_cfg.remote_addr = 0x0a000001;
         request_cfg.zero_copy = reply_cfg.zero_copy = cfg.zero_copy;
         request_cfg.net_tag = reply_cfg.net_tag = e.tag;
-        if (opts_.legacy_single_flow) {
-            request_cfg.local_port = 5001;
-            request_cfg.remote_port = 5002;
-            reply_cfg.local_port = 6001;
-            reply_cfg.remote_port = 6002;
-        } else {
-            if (!allocate_ports(e)) {
-                e.finished = true;
-                e.outcome.ports_exhausted = true;
-                e.outcome.black_box.record(
-                    clock_.now(), obs::flight_event::ports_exhausted);
-                table_.emplace(id, std::move(holder));
-                return false;
-            }
-            request_cfg.local_port = e.ports[port_client_request];
-            request_cfg.remote_port = e.ports[port_server_request];
-            reply_cfg.local_port = e.ports[port_server_reply];
-            reply_cfg.remote_port = e.ports[port_client_reply];
-            // Per-flow fault plans on the flow's own tag stream.
-            request_link_.forward().configure_tag(e.tag,
-                                                  cfg.request_forward_faults);
-            request_link_.reverse().configure_tag(e.tag,
-                                                  cfg.request_reverse_faults);
-            reply_link_.forward().configure_tag(e.tag, cfg.forward_faults);
-            reply_link_.reverse().configure_tag(e.tag, cfg.reverse_faults);
+        if (!allocate_ports(e)) {
+            e.finished = true;
+            e.outcome.ports_exhausted = true;
+            e.outcome.black_box.record(clock_.now(),
+                                       obs::flight_event::ports_exhausted);
+            table_.emplace(id, std::move(holder));
+            return false;
         }
+        request_cfg.local_port = e.ports[port_client_request];
+        request_cfg.remote_port = e.ports[port_server_request];
+        reply_cfg.local_port = e.ports[port_server_reply];
+        reply_cfg.remote_port = e.ports[port_client_reply];
+        // Per-flow fault plans on the flow's own tag stream.
+        request_link_.forward().configure_tag(e.tag,
+                                              cfg.request_forward_faults);
+        request_link_.reverse().configure_tag(e.tag,
+                                              cfg.request_reverse_faults);
+        reply_link_.forward().configure_tag(e.tag, cfg.forward_faults);
+        reply_link_.reverse().configure_tag(e.tag, cfg.reverse_faults);
 
         // Both endpoints share the flow's security parameters — the
         // deterministic KDF stands in for the key exchange.  The client-side
@@ -211,30 +192,15 @@ public:
             }
         }
 
-        if (opts_.legacy_single_flow) {
-            e.server = std::make_unique<app::file_server<Mem, Cipher>>(
-                server_mem_, e.server_cipher, clock_, request_link_,
-                reply_link_, tcp::mirrored(request_cfg), reply_cfg, mode,
-                store_, server_sec);
-            e.client = std::make_unique<app::file_client<Mem, Cipher>>(
-                client_mem_, e.client_cipher, clock_, request_link_,
-                reply_link_, request_cfg, tcp::mirrored(reply_cfg), mode,
-                cfg.retry, client_sec);
-        } else {
-            e.server = std::make_unique<app::file_server<Mem, Cipher>>(
-                server_mem_, e.server_cipher, clock_, request_link_.reverse(),
-                reply_link_.forward(), tcp::mirrored(request_cfg), reply_cfg,
-                mode, store_, server_sec);
-            e.client = std::make_unique<app::file_client<Mem, Cipher>>(
-                client_mem_, e.client_cipher, clock_, request_link_.forward(),
-                reply_link_.reverse(), request_cfg, tcp::mirrored(reply_cfg),
-                mode, cfg.retry, client_sec);
-            // Engine flows are serviced only through the scheduler: the
-            // ACK handler must not bypass the meter (and serviced_bytes
-            // must account every data segment).
-            e.server->set_auto_pump(false);
-            bind_routes(e);
-        }
+        e.server = std::make_unique<app::file_server<Mem, Cipher>>(
+            server_mem_, e.server_cipher, clock_, request_link_.reverse(),
+            reply_link_.forward(), tcp::mirrored(request_cfg), reply_cfg, mode,
+            store_, server_sec);
+        e.client = std::make_unique<app::file_client<Mem, Cipher>>(
+            client_mem_, e.client_cipher, clock_, request_link_.forward(),
+            reply_link_.reverse(), request_cfg, tcp::mirrored(reply_cfg), mode,
+            cfg.retry, client_sec);
+        bind_routes(e);
 
         rpc::file_request request;
         request.request_id = 7 + id;
@@ -251,9 +217,7 @@ public:
         e.started_at = clock_.now();
         bool issued = false;
         if (request.max_reply_payload != 0) {
-            obs::scoped_flow flow_scope(opts_.legacy_single_flow
-                                            ? -1
-                                            : static_cast<std::int64_t>(id));
+            obs::scoped_flow flow_scope(id);
             issued = e.client->request_file(request);
         }
         if (!issued) {
@@ -269,8 +233,7 @@ public:
             active_insert(e);
             // The runner outlives every flow on the shard; threaded only
             // under direct memory (no attribution source to race on).
-            if (!opts_.legacy_single_flow && e.cfg.pipeline_depth > 0 &&
-                mode == app::path_mode::ilp) {
+            if (e.cfg.pipeline_depth > 0 && mode == app::path_mode::ilp) {
                 ensure_pipeline(e.cfg.pipeline_depth);
             }
         }
@@ -323,12 +286,6 @@ public:
     std::size_t flows() const noexcept { return table_.size(); }
     std::size_t active_flows() const noexcept { return active_; }
     const net::port_allocator& ports() const noexcept { return ports_; }
-    const net::port_demux& reply_data_demux() const noexcept {
-        return reply_fwd_demux_;
-    }
-    const net::port_demux& request_data_demux() const noexcept {
-        return request_fwd_demux_;
-    }
 
     app::file_client<Mem, Cipher>& client(std::uint32_t id) {
         return *entry(id).client;
@@ -441,12 +398,19 @@ private:
         return false;
     }
 
+    // Data ports take loans too: a zero-copy sender's segments arrive in
+    // place (ACKs are always staged spans).
     void bind_routes(flow_entry& e) {
         flow_entry* ep = &e;
         bool ok = request_fwd_demux_.bind(
-            e.ports[port_server_request], [ep](std::span<const std::byte> p) {
+            e.ports[port_server_request],
+            [ep](std::span<const std::byte> p) {
                 obs::scoped_flow flow_scope(ep->id);
                 ep->server->on_request_packet(p);
+            },
+            [ep](const const_ring_span& s) {
+                obs::scoped_flow flow_scope(ep->id);
+                ep->server->on_request_segment(s);
             });
         ok = request_rev_demux_.bind(e.ports[port_client_request],
                                      [ep](std::span<const std::byte> p) {
@@ -454,11 +418,16 @@ private:
                                          ep->client->on_request_ack_packet(p);
                                      }) &&
              ok;
-        ok = reply_fwd_demux_.bind(e.ports[port_client_reply],
-                                   [ep](std::span<const std::byte> p) {
-                                       obs::scoped_flow flow_scope(ep->id);
-                                       ep->client->on_reply_packet(p);
-                                   }) &&
+        ok = reply_fwd_demux_.bind(
+                 e.ports[port_client_reply],
+                 [ep](std::span<const std::byte> p) {
+                     obs::scoped_flow flow_scope(ep->id);
+                     ep->client->on_reply_packet(p);
+                 },
+                 [ep](const const_ring_span& s) {
+                     obs::scoped_flow flow_scope(ep->id);
+                     ep->client->on_reply_segment(s);
+                 }) &&
              ok;
         ok = reply_rev_demux_.bind(e.ports[port_server_reply],
                                    [ep](std::span<const std::byte> p) {
@@ -487,12 +456,6 @@ private:
 
     void service(flow_entry& e) {
         regate_on_rekey(e);
-        if (opts_.legacy_single_flow) {
-            e.server->pump();
-            e.client->poll();
-            record_transitions(e);
-            return;
-        }
         if (e.cfg.pipeline_depth > 0 && e.cfg.mode == app::path_mode::ilp &&
             pipeline_.has_value()) {
             service_pipelined(e);
@@ -703,15 +666,10 @@ private:
                          e.server->secure_stats().tag_failures;
         o.epoch_skews = e.client->secure_stats().epoch_skews;
         o.epoch_window_hits = e.client->secure_stats().window_hits;
-        if (e.tag != 0) {
-            const net::tag_stats fwd =
-                reply_link_.forward().stats_for_tag(e.tag);
-            const net::tag_stats rev =
-                reply_link_.reverse().stats_for_tag(e.tag);
-            o.reply_packets_dropped = fwd.packets_dropped;
-            o.queue_dropped =
-                fwd.packets_queue_dropped + rev.packets_queue_dropped;
-        }
+        const net::tag_stats fwd = reply_link_.forward().stats_for_tag(e.tag);
+        const net::tag_stats rev = reply_link_.reverse().stats_for_tag(e.tag);
+        o.reply_packets_dropped = fwd.packets_dropped;
+        o.queue_dropped = fwd.packets_queue_dropped + rev.packets_queue_dropped;
         if (o.completed) {
             o.verified = true;
             const std::vector<std::byte>* original = store_.find(e.file);
@@ -764,7 +722,6 @@ private:
     void teardown(flow_entry& e) {
         e.client->quiesce();
         e.server->quiesce();
-        if (opts_.legacy_single_flow) return;
         request_fwd_demux_.unbind(e.ports[port_server_request]);
         request_rev_demux_.unbind(e.ports[port_client_request]);
         reply_fwd_demux_.unbind(e.ports[port_client_reply]);

@@ -85,7 +85,8 @@ bool datagram_pipe::lose_packet(fault_state& fs) {
     return false;
 }
 
-void datagram_pipe::enqueue(std::size_t bytes, std::uint32_t tag) {
+void datagram_pipe::enqueue(std::size_t bytes, std::uint32_t tag,
+                            bool zero_copy) {
     ILP_OBS_SPAN("net", "enqueue");
     ++stats_.packets_sent;
     ++stats_.send_crossings;
@@ -123,6 +124,7 @@ void datagram_pipe::enqueue(std::size_t bytes, std::uint32_t tag) {
         }
         in_flight_packet pkt;
         pkt.tag = tag;
+        pkt.zero_copy = zero_copy;
         pkt.data.assign(kernel_staging_.data(), kernel_staging_.data() + bytes);
         if (fs.coin.next_bool(fs.faults.corrupt_probability)) {
             ++stats_.packets_corrupted;
@@ -190,8 +192,10 @@ void datagram_pipe::deliver_due() {
         if (it == queue_.end()) break;
 
         const std::size_t n = it->data.size();
+        const bool loaned = on_segment_ != nullptr &&
+                            (it->zero_copy || on_packet_ == nullptr);
         const_ring_span loan;
-        if (on_segment_ != nullptr) {
+        if (loaned) {
             // Loaned delivery: DMA the packet into the receive ring at the
             // current write offset, splitting it across the wrap when it
             // does not fit contiguously.  The copy is physical but
@@ -221,7 +225,7 @@ void datagram_pipe::deliver_due() {
         queue_.erase(it);
         ++stats_.packets_delivered;
         ++stats_.deliver_crossings;
-        if (on_segment_ != nullptr) {
+        if (loaned) {
             on_segment_(loan);
         } else if (on_packet_ != nullptr) {
             on_packet_(deliver_buffer_.subspan(0, n));

@@ -130,10 +130,11 @@ struct tag_stats {
 // matching Fig. 5 step 1).
 //
 // Multi-flow use: several connections share one pipe, distinguished by a
-// send *tag* (0 = untagged, the single-flow legacy path).  Each tag gets its
-// own fault plan and RNG stream — seeded derive_seed(seed, tag) — so one
-// flow's loss pattern depends only on its own packet sequence, never on how
-// other flows' packets interleave on the shared link.  The finite kernel
+// send *tag* (0 = untagged, used by tests that drive pipes directly).  Each
+// tag gets its own fault plan and RNG stream — seeded derive_seed(seed,
+// tag) — so one flow's loss pattern depends only on its own packet
+// sequence, never on how other flows' packets interleave on the shared
+// link.  The finite kernel
 // queue stays shared (faults_.max_queue_packets), with an optional per-tag
 // fair-share cap so one retransmit-happy flow cannot occupy the whole queue
 // and starve the rest.
@@ -151,14 +152,19 @@ public:
 
     void set_receiver(handler on_packet) { on_packet_ = std::move(on_packet); }
 
-    // Installs a zero-copy receiver, replacing any span handler.  Instead of
-    // staging each packet in the shared deliver buffer (which the receiver
-    // must then copy into user space), the pipe lends the packet in place
-    // inside its receive ring: the loan is valid only for the duration of
-    // the call, and the receiver either processes it in place or copies
-    // the bytes it needs to keep.  The DMA into the ring is physical but
-    // uncounted, exactly like the deliver-buffer staging it replaces — the
-    // loan removes the *counted* user-space copy, not the kernel DMA.
+    // Installs a zero-copy receiver.  Instead of staging a packet in the
+    // shared deliver buffer (which the receiver must then copy into user
+    // space), the pipe lends it in place inside its receive ring: the loan
+    // is valid only for the duration of the call, and the receiver either
+    // processes it in place or copies the bytes it needs to keep.  The DMA
+    // into the ring is physical but uncounted, exactly like the
+    // deliver-buffer staging it replaces — the loan removes the *counted*
+    // user-space copy, not the kernel DMA.
+    //
+    // A packet is loaned when it was sent with send_zero_copy (the adapter
+    // model is end to end) or when no span receiver is installed; every
+    // other packet keeps staged span delivery.  So one pipe can carry
+    // zero-copy and copying connections side by side.
     void set_segment_receiver(segment_handler on_segment) {
         on_segment_ = std::move(on_segment);
     }
@@ -177,7 +183,7 @@ public:
             mem.copy(kernel_staging_.data() + total, part.data(), part.size());
             total += part.size();
         }
-        enqueue(total, tag);
+        enqueue(total, tag, false);
     }
 
     template <memsim::memory_policy Mem>
@@ -196,11 +202,12 @@ public:
         std::size_t total = 0;
         for (const auto part : parts) {
             ILP_EXPECT(total + part.size() <= max_packet_bytes);
+            if (part.empty()) continue;  // may be {nullptr, 0}: no memcpy
             std::memcpy(kernel_staging_.data() + total, part.data(),
                         part.size());
             total += part.size();
         }
-        enqueue(total, tag);
+        enqueue(total, tag, true);
     }
 
     // Installs a fault plan for one tag (tag != 0).  Without this, a tagged
@@ -230,10 +237,11 @@ private:
         std::vector<std::byte> data;
         sim_time deliver_at;
         std::uint32_t tag = 0;
+        bool zero_copy = false;  // sent with send_zero_copy
     };
 
-    // Fault-plan state of one coin stream (the untagged legacy stream or one
-    // tag's stream).
+    // Fault-plan state of one coin stream (the untagged stream or one tag's
+    // stream).
     struct fault_state {
         fault_config faults;
         rng coin;
@@ -243,7 +251,7 @@ private:
             : faults(f), coin(seed) {}
     };
 
-    void enqueue(std::size_t bytes, std::uint32_t tag);
+    void enqueue(std::size_t bytes, std::uint32_t tag, bool zero_copy);
     // Outage / burst / Bernoulli verdict against one stream's plan.
     bool lose_packet(fault_state& fs);
     fault_state& state_for(std::uint32_t tag);

@@ -9,6 +9,11 @@
 // without a full header parse — kernel demultiplexing is deliberately
 // minimal, everything else happens in user space.  Register it as a
 // datagram_pipe receiver and bind one handler per local port.
+//
+// Zero-copy connections receive loans (datagram_pipe's segment delivery):
+// install segment_receiver() as well and bind the port's loan handler.  The
+// port is then read across the loan's two pieces, so a packet straddling
+// the receive ring's wrap is routed in place like any other.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +23,7 @@
 #include <span>
 #include <vector>
 
+#include "buffer/ring_buffer.h"
 #include "tcp/header.h"
 #include "util/contracts.h"
 #include "util/endian.h"
@@ -27,23 +33,27 @@ namespace ilp::net {
 class port_demux {
 public:
     using handler = std::function<void(std::span<const std::byte>)>;
+    using segment_handler = std::function<void(const const_ring_span&)>;
 
-    // Binds `on_packet` to segments addressed to `port`.  A port may have at
-    // most one listener: binding an already-bound port is rejected (returns
-    // false, counted) instead of silently replacing the existing flow's
-    // handler.  Restarting a connection on the same port is an explicit
-    // rebind().
-    [[nodiscard]] bool bind(std::uint16_t port, handler on_packet) {
-        const auto [it, inserted] =
-            handlers_.emplace(port, std::move(on_packet));
+    // Binds `on_packet` to segments addressed to `port`, and `on_segment` to
+    // loans addressed to it (a port without one drops loans as having no
+    // listener).  A port may have at most one listener: binding an
+    // already-bound port is rejected (returns false, counted) instead of
+    // silently replacing the existing flow's handlers.  Restarting a
+    // connection on the same port is an explicit rebind().
+    [[nodiscard]] bool bind(std::uint16_t port, handler on_packet,
+                            segment_handler on_segment = {}) {
+        const auto [it, inserted] = handlers_.emplace(
+            port, route{std::move(on_packet), std::move(on_segment)});
         if (!inserted) ++bind_conflicts_;
         return inserted;
     }
 
-    // Replaces the handler of a bound port (connection restart) or binds a
+    // Replaces the handlers of a bound port (connection restart) or binds a
     // free one.
-    void rebind(std::uint16_t port, handler on_packet) {
-        handlers_[port] = std::move(on_packet);
+    void rebind(std::uint16_t port, handler on_packet,
+                segment_handler on_segment = {}) {
+        handlers_[port] = route{std::move(on_packet), std::move(on_segment)};
     }
 
     void unbind(std::uint16_t port) { handlers_.erase(port); }
@@ -56,19 +66,29 @@ public:
             ++malformed_;
             return;
         }
-        const std::uint16_t dst_port = load_be16(packet.data() + 2);
-        const auto it = handlers_.find(dst_port);
-        if (it == handlers_.end()) {
-            ++no_listener_drops_;
-            return;
-        }
-        ++dispatched_;
-        it->second(packet);
+        route_to(load_be16(packet.data() + 2), &route::packet, packet);
     }
 
-    // Adapter for datagram_pipe::set_receiver.
+    // The loan receiver: the same routing, with the port's two bytes read
+    // across the (possibly two-piece) chain.
+    void dispatch(const const_ring_span& segment) {
+        if (segment.size() < tcp::header_bytes) {
+            ++malformed_;
+            return;
+        }
+        const const_ring_span p = segment.subspan(2, 2);
+        const std::byte port[2] = {p.first[0], p.first.size() == 2
+                                                   ? p.first[1]
+                                                   : p.second[0]};
+        route_to(load_be16(port), &route::segment, segment);
+    }
+
+    // Adapters for datagram_pipe::set_receiver / set_segment_receiver.
     handler receiver() {
         return [this](std::span<const std::byte> p) { dispatch(p); };
+    }
+    segment_handler segment_receiver() {
+        return [this](const const_ring_span& s) { dispatch(s); };
     }
 
     std::uint64_t dispatched() const noexcept { return dispatched_; }
@@ -79,7 +99,26 @@ public:
     std::uint64_t bind_conflicts() const noexcept { return bind_conflicts_; }
 
 private:
-    std::map<std::uint16_t, handler> handlers_;
+    struct route {
+        handler packet;
+        segment_handler segment;
+    };
+
+    // Hands `packet` to the handler `which` bound on `port`, or counts the
+    // no-listener drop.
+    template <typename Handler, typename Packet>
+    void route_to(std::uint16_t port, Handler route::*which,
+                  const Packet& packet) {
+        const auto it = handlers_.find(port);
+        if (it == handlers_.end() || !(it->second.*which)) {
+            ++no_listener_drops_;
+            return;
+        }
+        ++dispatched_;
+        (it->second.*which)(packet);
+    }
+
+    std::map<std::uint16_t, route> handlers_;
     std::uint64_t dispatched_ = 0;
     std::uint64_t no_listener_drops_ = 0;
     std::uint64_t malformed_ = 0;

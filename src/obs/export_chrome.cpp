@@ -94,8 +94,8 @@ std::string chrome_trace_json(const tracer& t, trace_timebase timebase) {
         append_escaped(out, s.name);
         out += "\",\"args\":{\"seq\":";
         append_u64(out, s.seq);
-        // Only flow-scoped spans carry a flow arg, so single-flow traces
-        // (and their golden files) are unchanged.
+        // Only flow-scoped spans carry a flow arg, so spans recorded outside
+        // any flow (and the golden file) are unchanged.
         if (s.flow >= 0) {
             out += ",\"flow\":";
             append_u64(out, static_cast<std::uint64_t>(s.flow));

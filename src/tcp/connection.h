@@ -87,9 +87,10 @@ struct connection_config {
 
     // Flow tag stamped on every packet this connection emits (data,
     // retransmissions, control segments, ACKs).  The multi-flow engine sets
-    // it to the flow id so the shared datagram pipes can account each flow's
-    // queue share and draw its fault coins from a per-flow stream; 0 (the
-    // default) is the untagged single-flow path.
+    // it to the flow id + 1 so the shared datagram pipes can account each
+    // flow's queue share and draw its fault coins from a per-flow stream; 0
+    // (the default) is the pipes' untagged stream, for connections driven
+    // over bare pipes.
     std::uint32_t net_tag = 0;
 };
 

@@ -119,6 +119,9 @@ TEST(FileTransfer, SurvivesLossyLink) {
     config.file_bytes = 8 * 1024;
     const transfer_result result =
         run_transfer_native<safer_simplified>(config);
+    // Both faults must actually fire, or recovery is untested.
+    ASSERT_GT(result.reply_pipe.packets_dropped, 0u);
+    ASSERT_GT(result.reply_pipe.packets_corrupted, 0u);
     ASSERT_TRUE(result.completed);
     EXPECT_TRUE(result.verified);
     EXPECT_GT(result.reply_tcp_sender.retransmissions, 0u);
@@ -133,6 +136,7 @@ TEST(FileTransfer, CorruptionNeverReachesTheApplication) {
         config.mode = mode;
         const transfer_result result =
             run_transfer_native<safer_simplified>(config);
+        ASSERT_GT(result.reply_pipe.packets_corrupted, 0u);  // fault fired
         ASSERT_TRUE(result.completed);
         EXPECT_TRUE(result.verified);
         EXPECT_GT(result.reply_tcp_receiver.checksum_failures, 0u);
@@ -293,11 +297,21 @@ TEST(FileTransfer, SendIntoAFullSenderCountsAsBlockedInBothModes) {
         const safer_simplified cipher(key);
         const memsim::direct_memory mem;
         file_server<memsim::direct_memory, safer_simplified> server(
-            mem, cipher, clock, request_link, reply_link,
+            mem, cipher, clock, request_link.reverse(), reply_link.forward(),
             tcp::mirrored(request_cfg), reply_cfg, mode, store);
         file_client<memsim::direct_memory, safer_simplified> client(
-            mem, cipher, clock, request_link, reply_link, request_cfg,
-            tcp::mirrored(reply_cfg), mode);
+            mem, cipher, clock, request_link.forward(), reply_link.reverse(),
+            request_cfg, tcp::mirrored(reply_cfg), mode);
+        request_link.forward().set_receiver(
+            [&](std::span<const std::byte> p) { server.on_request_packet(p); });
+        request_link.reverse().set_receiver([&](std::span<const std::byte> p) {
+            client.on_request_ack_packet(p);
+        });
+        reply_link.forward().set_receiver(
+            [&](std::span<const std::byte> p) { client.on_reply_packet(p); });
+        reply_link.reverse().set_receiver([&](std::span<const std::byte> p) {
+            server.on_reply_ack_packet(p);
+        });
 
         rpc::file_request request;
         request.request_id = 1;
@@ -308,6 +322,7 @@ TEST(FileTransfer, SendIntoAFullSenderCountsAsBlockedInBothModes) {
         ASSERT_TRUE(client.request_file(request));
         clock.advance(10'000);
         EXPECT_EQ(server.requests_served(), 1u);
+        server.pump();
         EXPECT_EQ(server.reply_tcp_stats().send_blocked, 1u)
             << "mode=" << static_cast<int>(mode);
         EXPECT_EQ(server.send_counters().messages, 0u);
@@ -336,13 +351,13 @@ const counter_pin counter_pins[] = {
     {"plain_ilp", false, rpc::wire_version_secure, path_mode::ilp,
      {9, 4096, 4352, 4352, 0, 0, 0, 0, 4352},
      {9, 4096, 4352, 4352, 0, 0, 0, 0, 4352},
-     {1, 0, 48, 48, 0, 0, 0, 0, 48},
-     {1, 0, 48, 48, 0, 0, 0, 0, 48}},
+     {1, 0, 40, 40, 0, 0, 0, 0, 40},
+     {1, 0, 40, 40, 0, 0, 0, 0, 40}},
     {"plain_layered", false, rpc::wire_version_secure, path_mode::layered,
      {9, 4096, 4352, 0, 4352, 4352, 4352, 4352, 4352},
      {9, 4096, 4352, 0, 4352, 4352, 4352, 0, 4352},
-     {1, 0, 48, 0, 0, 48, 48, 48, 48},
-     {1, 0, 48, 0, 48, 48, 48, 48, 48}},
+     {1, 0, 40, 0, 0, 40, 40, 40, 40},
+     {1, 0, 40, 0, 40, 40, 40, 40, 40}},
     {"v3_ilp", true, rpc::wire_version_secure, path_mode::ilp,
      {9, 4096, 4424, 4424, 0, 0, 0, 0, 4352},
      {9, 4096, 4424, 4352, 0, 0, 72, 0, 4352},
@@ -356,13 +371,13 @@ const counter_pin counter_pins[] = {
     {"v2_ilp", true, rpc::wire_version, path_mode::ilp,
      {9, 4096, 4352, 4352, 0, 0, 0, 0, 4352},
      {9, 4096, 4352, 4352, 0, 0, 0, 0, 4352},
-     {1, 0, 48, 48, 0, 0, 0, 0, 48},
-     {1, 0, 48, 48, 0, 0, 0, 0, 48}},
+     {1, 0, 40, 40, 0, 0, 0, 0, 40},
+     {1, 0, 40, 40, 0, 0, 0, 0, 40}},
     {"v2_layered", true, rpc::wire_version, path_mode::layered,
      {9, 4096, 4352, 0, 4352, 4352, 4352, 4352, 4352},
      {9, 4096, 4352, 0, 4352, 4352, 4352, 0, 4352},
-     {1, 0, 48, 0, 0, 48, 48, 48, 48},
-     {1, 0, 48, 0, 48, 48, 48, 48, 48}},
+     {1, 0, 40, 0, 0, 40, 40, 40, 40},
+     {1, 0, 40, 0, 40, 40, 40, 40, 40}},
 };
 
 void expect_counters(const path_counters& got, const path_counters& want,

@@ -55,6 +55,35 @@ TEST(PortDemux, DropsUnboundAndMalformed) {
     EXPECT_EQ(demux.dispatched(), 0u);
 }
 
+// Loans route by the same port, read across the two pieces of a chain
+// even when the port's two bytes straddle the split; a port bound without
+// a loan handler drops loans as having no listener.
+TEST(PortDemux, RoutesLoansAcrossEverySplit) {
+    port_demux demux;
+    std::vector<std::size_t> loans;
+    int spans = 0;
+    ASSERT_TRUE(demux.bind(
+        0x1234, [&](std::span<const std::byte>) { ++spans; },
+        [&](const const_ring_span& s) { loans.push_back(s.size()); }));
+    ASSERT_TRUE(demux.bind(0x1235, [&](std::span<const std::byte>) {}));
+    const std::vector<std::byte> packet = segment_to(0x1234, 8);
+    for (std::size_t split = 0; split <= packet.size(); ++split) {
+        const std::span<const std::byte> all(packet);
+        demux.dispatch(
+            const_ring_span{all.first(split), all.subspan(split)});
+    }
+    EXPECT_EQ(loans.size(), packet.size() + 1);
+    EXPECT_EQ(spans, 0);
+    EXPECT_EQ(demux.dispatched(), packet.size() + 1);
+
+    const std::vector<std::byte> other = segment_to(0x1235);
+    demux.dispatch(const_ring_span{other, {}});
+    EXPECT_EQ(demux.no_listener_drops(), 1u);
+    const std::byte runt[5] = {};
+    demux.dispatch(const_ring_span{{runt, 3}, {runt + 3, 2}});
+    EXPECT_EQ(demux.malformed(), 1u);
+}
+
 TEST(PortDemux, UnbindStopsDelivery) {
     port_demux demux;
     int count = 0;

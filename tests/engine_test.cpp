@@ -11,10 +11,12 @@
 #include <cstdint>
 #include <span>
 
+#include "app/harness.h"
 #include "crypto/aead.h"
 #include "crypto/safer_simplified.h"
 #include "engine/fleet.h"
 #include "engine/shard.h"
+#include "memsim/configs.h"
 #include "memsim/mem_policy.h"
 #include "util/rng.h"
 
@@ -94,6 +96,88 @@ TEST(EngineShard, CloseFlowRecordsPartialOutcomeAndFreesResources) {
     ASSERT_TRUE(s.open_flow(1, small_flow(), c, c));
     s.run();
     EXPECT_TRUE(s.outcome(1).completed);
+}
+
+// --- one wiring for every flow ---------------------------------------------
+
+// app::run_transfer is a one-flow shard wired like any fleet flow, so the
+// same transfer run either way must end in the same outcome.  Returns the
+// run_transfer result.
+template <crypto::block_cipher Cipher>
+app::transfer_result expect_transfer_matches_fleet(
+    const app::transfer_config& t, const char* name) {
+    const app::transfer_result r = app::run_transfer_native<Cipher>(t);
+
+    fleet_config cfg;
+    cfg.key_seed = t.key_seed;
+    flow_config& fc = cfg.defaults;
+    fc.mode = t.mode;
+    fc.file_bytes = t.file_bytes;
+    fc.packet_wire_bytes = t.packet_wire_bytes;
+    fc.file_seed = t.file_seed;
+    fc.zero_copy = t.zero_copy;
+    fc.forward_faults = t.forward_faults;
+    fc.secure = t.secure;
+    fc.rekey_interval_bytes = t.rekey_interval_bytes;
+    const fleet_report fleet = run_fleet_native<Cipher>(cfg);
+    EXPECT_EQ(fleet.flows.size(), 1u) << name;
+    const flow_outcome& o = fleet.flows.at(0);
+
+    EXPECT_TRUE(r.completed && r.verified) << name;
+    EXPECT_EQ(r.completed, o.completed) << name;
+    EXPECT_EQ(r.verified, o.verified) << name;
+    EXPECT_EQ(r.elapsed_us, o.elapsed_us) << name;
+    EXPECT_EQ(r.payload_bytes_delivered, o.payload_bytes) << name;
+    EXPECT_EQ(r.recovery.rpc_retries, o.rpc_retries) << name;
+    EXPECT_EQ(r.reply_tcp_sender.retransmissions, o.tcp_retransmissions)
+        << name;
+    EXPECT_EQ(r.reply_pipe.packets_dropped, o.reply_packets_dropped) << name;
+    return r;
+}
+
+TEST(EngineSingleFlow, RunTransferMatchesAOneFlowFleet) {
+    app::transfer_config t;
+    t.file_bytes = 16 * 1024;
+    expect_transfer_matches_fleet<cipher>(t, "clean");
+
+    app::transfer_config lossy = t;
+    lossy.forward_faults.drop_probability = 0.05;
+    lossy.forward_faults.corrupt_probability = 0.05;
+    lossy.forward_faults.seed = 5;
+    const auto fired =
+        expect_transfer_matches_fleet<cipher>(lossy, "5% drop+corrupt");
+    EXPECT_GT(fired.reply_pipe.packets_dropped, 0u);
+    EXPECT_GT(fired.reply_pipe.packets_corrupted, 0u);
+
+    app::transfer_config secure = t;
+    secure.secure = true;
+    secure.rekey_interval_bytes = 4096;
+    const auto rekeyed = expect_transfer_matches_fleet<crypto::aead_cipher>(
+        secure, "secure v3");
+    EXPECT_GT(rekeyed.metrics.counter("crypto.rekeys"), 0u);
+
+    app::transfer_config zero_copy = t;
+    zero_copy.zero_copy = true;
+    expect_transfer_matches_fleet<cipher>(zero_copy, "zero-copy");
+}
+
+// A zero_copy fleet flow receives its reply data as in-place loans through
+// the shard's demuxes: its client (receive side) makes measurably fewer
+// memory accesses than an otherwise identical copying flow.
+TEST(EngineZeroCopy, FleetFlowReceivesLoansAndTouchesLessMemory) {
+    const auto client_accesses = [](bool zero_copy) {
+        fleet_config cfg;
+        cfg.defaults = small_flow(16 * 1024);
+        cfg.defaults.zero_copy = zero_copy;
+        const fleet_report r = run_fleet_simulated<cipher>(
+            cfg, memsim::supersparc_with_l2());
+        EXPECT_EQ(r.verified, 1u) << "zero_copy=" << zero_copy;
+        return r.shards[0].client_mem.accesses();
+    };
+    const auto copying = static_cast<double>(client_accesses(false));
+    const auto loaned = static_cast<double>(client_accesses(true));
+    EXPECT_LE(loaned, 0.95 * copying)
+        << "copying=" << copying << " zero_copy=" << loaned;
 }
 
 // --- DRR fairness ----------------------------------------------------------

@@ -89,8 +89,11 @@ TEST(Integration, ZeroCopyAndFaultsCompose) {
     config.file_bytes = 6 * 1024;
     config.forward_faults.drop_probability = 0.1;
     config.forward_faults.corrupt_probability = 0.1;
-    config.forward_faults.seed = 5;
+    config.forward_faults.seed = 12;
     const auto result = run_transfer_native<safer_simplified>(config);
+    // Both faults must actually fire, or recovery is untested.
+    ASSERT_GT(result.reply_pipe.packets_dropped, 0u);
+    ASSERT_GT(result.reply_pipe.packets_corrupted, 0u);
     ASSERT_TRUE(result.completed);
     EXPECT_TRUE(result.verified);
     EXPECT_GT(result.reply_tcp_receiver.checksum_failures, 0u);

@@ -41,6 +41,46 @@ TEST(Datagram, DeliversAfterLatency) {
     EXPECT_EQ(pipe.stats().packets_delivered, 1u);
 }
 
+// A zero-copy gather send whose second part is empty (a ring payload that
+// does not wrap, or no payload at all) carries {nullptr, 0}: it must add
+// nothing and never be handed to memcpy.
+TEST(Datagram, ZeroCopySendSkipsAnEmptyPart) {
+    virtual_clock clock;
+    datagram_pipe pipe(clock, 0);
+    std::vector<std::byte> received;
+    pipe.set_receiver([&](std::span<const std::byte> p) {
+        received.assign(p.begin(), p.end());
+    });
+    const auto a = pattern(20, 1);
+    pipe.send_zero_copy(
+        {std::span<const std::byte>(a), std::span<const std::byte>()});
+    clock.advance(1);
+    EXPECT_EQ(received, a);
+}
+
+// With both receivers installed, only zero-copy sends arrive as loans; a
+// copying send keeps staged span delivery on the same pipe.
+TEST(Datagram, LoansExactlyTheZeroCopySends) {
+    virtual_clock clock;
+    datagram_pipe pipe(clock, 0);
+    std::vector<std::byte> spans;
+    std::vector<std::byte> loans;
+    pipe.set_receiver([&](std::span<const std::byte> p) {
+        spans.insert(spans.end(), p.begin(), p.end());
+    });
+    pipe.set_segment_receiver([&](const const_ring_span& s) {
+        loans.insert(loans.end(), s.first.begin(), s.first.end());
+        loans.insert(loans.end(), s.second.begin(), s.second.end());
+    });
+    const auto copied = pattern(30, 1);
+    const auto loaned = pattern(40, 2);
+    pipe.send(direct_memory{}, copied);
+    pipe.send_zero_copy({std::span<const std::byte>(loaned)});
+    clock.advance(1);
+    EXPECT_EQ(spans, copied);
+    EXPECT_EQ(loans, loaned);
+}
+
 TEST(Datagram, GatherSendConcatenatesParts) {
     virtual_clock clock;
     datagram_pipe pipe(clock, 0);

@@ -297,9 +297,12 @@ TEST(ZeroCopyTransfer, FaultsComposeWithLoanDelivery) {
     config.zero_copy = true;
     config.forward_faults.corrupt_probability = 0.05;
     config.forward_faults.drop_probability = 0.05;
-    config.forward_faults.seed = 77;
+    config.forward_faults.seed = 80;
     const auto r =
         app::run_transfer_native<crypto::safer_simplified>(config);
+    // Both faults must actually fire, or recovery is untested.
+    ASSERT_GT(r.reply_pipe.packets_dropped, 0u);
+    ASSERT_GT(r.reply_pipe.packets_corrupted, 0u);
     EXPECT_TRUE(r.completed);
     EXPECT_TRUE(r.verified);
     EXPECT_GT(r.reply_tcp_receiver.checksum_failures +
