@@ -90,6 +90,12 @@ struct shard_summary {
     // when no flow opted in): exported fleet-wide as pipeline.ring.*.
     pipeline::ring_stall_stats pipeline;
     bool pipeline_threaded = false;
+    // What outlived the shard's flows once run() returned: clock timers
+    // still pending, packets still queued on its four pipes, ports still
+    // allocated.  All zero when every flow tore down cleanly.
+    std::size_t leftover_timers = 0;
+    std::size_t leftover_packets = 0;
+    std::size_t leftover_ports = 0;
 };
 
 struct fleet_report {
@@ -231,6 +237,12 @@ fleet_report run_fleet(const fleet_config& cfg, MemFactory&& shard_mems) {
         s.slowest = w->slowest_flows();
         s.pipeline = w->pipeline_stats();
         s.pipeline_threaded = w->pipeline_threaded();
+        s.leftover_timers = w->clock().pending_timers();
+        s.leftover_packets = w->request_link().forward().in_flight() +
+                             w->request_link().reverse().in_flight() +
+                             w->reply_link().forward().in_flight() +
+                             w->reply_link().reverse().in_flight();
+        s.leftover_ports = w->ports().allocated();
         std::sort(s.slowest.begin(), s.slowest.end(),
                   [](const slow_flow& a, const slow_flow& b) {
                       return a.elapsed_us != b.elapsed_us

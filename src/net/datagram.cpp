@@ -171,7 +171,19 @@ void datagram_pipe::enqueue(std::size_t bytes, std::uint32_t tag,
             deliver_at += 2 * latency_us_ + 1;
         }
         pkt.deliver_at = deliver_at;
-        queue_.push_back(std::move(pkt));
+        // Keeps queue_ sorted: the usual packet, due no earlier than the
+        // back, is appended; one that a held packet already outlasts is
+        // inserted after the packets due no later than it.
+        if (queue_.empty() || queue_.back().deliver_at <= deliver_at) {
+            queue_.push_back(std::move(pkt));
+        } else {
+            const auto at = std::upper_bound(
+                queue_.begin(), queue_.end(), deliver_at,
+                [](sim_time t, const in_flight_packet& p) {
+                    return t < p.deliver_at;
+                });
+            queue_.insert(at, std::move(pkt));
+        }
         ++fs.stats.in_flight;
         clock_->schedule_at(deliver_at, [this] { deliver_due(); });
     }
@@ -180,20 +192,12 @@ void datagram_pipe::enqueue(std::size_t bytes, std::uint32_t tag,
 void datagram_pipe::deliver_due() {
     ILP_OBS_SPAN("net", "deliver");
     const sim_time now = clock_->now();
-    for (;;) {
-        // Earliest due packet (stable order for ties: queue order).
-        auto it = queue_.end();
-        for (auto cand = queue_.begin(); cand != queue_.end(); ++cand) {
-            if (cand->deliver_at > now) continue;
-            if (it == queue_.end() || cand->deliver_at < it->deliver_at) {
-                it = cand;
-            }
-        }
-        if (it == queue_.end()) break;
-
-        const std::size_t n = it->data.size();
+    // queue_ is sorted, so the front is the earliest due packet.
+    while (!queue_.empty() && queue_.front().deliver_at <= now) {
+        const in_flight_packet& pkt = queue_.front();
+        const std::size_t n = pkt.data.size();
         const bool loaned = on_segment_ != nullptr &&
-                            (it->zero_copy || on_packet_ == nullptr);
+                            (pkt.zero_copy || on_packet_ == nullptr);
         const_ring_span loan;
         if (loaned) {
             // Loaned delivery: DMA the packet into the receive ring at the
@@ -204,25 +208,25 @@ void datagram_pipe::deliver_due() {
             const std::size_t cap = rx_ring_.size();
             const std::size_t at = rx_offset_;
             if (at + n <= cap) {
-                std::memcpy(rx_ring_.data() + at, it->data.data(), n);
+                std::memcpy(rx_ring_.data() + at, pkt.data.data(), n);
                 loan.first = {rx_ring_.data() + at, n};
             } else {
                 const std::size_t head = cap - at;
-                std::memcpy(rx_ring_.data() + at, it->data.data(), head);
-                std::memcpy(rx_ring_.data(), it->data.data() + head,
+                std::memcpy(rx_ring_.data() + at, pkt.data.data(), head);
+                std::memcpy(rx_ring_.data(), pkt.data.data() + head,
                             n - head);
                 loan.first = {rx_ring_.data() + at, head};
                 loan.second = {rx_ring_.data(), n - head};
             }
             rx_offset_ = (at + n) % cap;
         } else {
-            std::memcpy(deliver_buffer_.data(), it->data.data(), n);
+            std::memcpy(deliver_buffer_.data(), pkt.data.data(), n);
         }
-        fault_state& fs = state_for(it->tag);
+        fault_state& fs = state_for(pkt.tag);
         ILP_EXPECT(fs.stats.in_flight > 0);
         --fs.stats.in_flight;
         ++fs.stats.packets_delivered;
-        queue_.erase(it);
+        queue_.pop_front();
         ++stats_.packets_delivered;
         ++stats_.deliver_crossings;
         if (loaned) {

@@ -222,8 +222,11 @@ public:
         per_tag_queue_cap_ = cap;
     }
 
-    // Delivers every packet whose latency has elapsed (called by the clock's
-    // timer machinery; exposed for tests that poll manually).
+    // Delivers every packet whose latency has elapsed, earliest deliver_at
+    // first and in send order among equals (called by the clock's timer
+    // machinery; exposed for tests that poll manually).  Packets the
+    // receiver sends on this pipe from its handler are delivered in the
+    // same call once due.
     void deliver_due();
 
     const pipe_stats& stats() const noexcept { return stats_; }
@@ -271,6 +274,11 @@ private:
     // regularly straddle the wrap (exercising the two-span chain path).
     byte_buffer rx_ring_;
     std::size_t rx_offset_ = 0;
+    // Invariant: sorted by (deliver_at, send order).  deliver_due() pops
+    // due packets off the front; enqueue() inserts at upper_bound(
+    // deliver_at), which for a packet no held one outlasts is the back.  Each
+    // enqueued packet also holds one clock timer, so pipes sharing a clock
+    // interleave their deliveries in the clock's (deadline, token) order.
     std::deque<in_flight_packet> queue_;
     pipe_stats stats_;
 };

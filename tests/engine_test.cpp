@@ -273,6 +273,16 @@ TEST(EngineBackpressure, FairShareCapContainsAPathologicalFlow) {
 
 // --- chaos -----------------------------------------------------------------
 
+// Termination check: once a shard's run() returns, nothing its flows used
+// is left behind — no pending timer, no packet in flight, no port.
+void expect_nothing_outlived_the_flows(const fleet_report& report) {
+    for (const shard_summary& s : report.shards) {
+        EXPECT_EQ(s.leftover_timers, 0u) << "shard " << s.shard;
+        EXPECT_EQ(s.leftover_packets, 0u) << "shard " << s.shard;
+        EXPECT_EQ(s.leftover_ports, 0u) << "shard " << s.shard;
+    }
+}
+
 void burst_loss(flow_config& fc) {
     fc.forward_faults.burst.enabled = true;
     fc.forward_faults.burst.p_good_to_bad = 0.05;
@@ -308,6 +318,53 @@ TEST(EngineChaos, LossyFlowsEndExplicitlyCleanFlowsComplete) {
     // The lossy flows actually saw loss (their tags' own coin streams).
     EXPECT_GT(report.metrics.counter("engine.reply_packets_dropped"), 0u);
     EXPECT_EQ(report.shards.size(), 4u);
+    expect_nothing_outlived_the_flows(report);
+}
+
+// Flows that end every way a flow can end — clean, lossy, out of time with
+// its reply path dead, out of retries — still leave nothing armed or
+// allocated once their shard's run() returns.  The doomed flows are torn
+// down with TCP timers armed, so this is where teardown's quiesce shows.
+TEST(EngineChaos, DoomedFlowsLeaveNothingBehind) {
+    fleet_config cfg;
+    cfg.flows = 40;
+    cfg.shards = 4;
+    cfg.defaults = small_flow();
+    cfg.per_flow = [](std::uint32_t f, flow_config& fc) {
+        switch (f % 4) {
+            case 1:
+                fc.forward_faults.drop_probability = 0.2;
+                break;
+            case 2:  // deadline-doomed
+                fc.forward_faults.drop_probability = 1.0;
+                fc.deadline_us = 10'000;
+                break;
+            case 3:  // retry-doomed
+                fc.forward_faults.drop_probability = 1.0;
+                fc.retry.max_attempts = 2;
+                fc.retry.response_timeout_us = 2'000;
+                fc.retry.backoff_us = 1'000;
+                fc.retry.max_backoff_us = 1'000;
+                break;
+        }
+    };
+    const fleet_report report = run_fleet_native<cipher>(cfg);
+
+    ASSERT_EQ(report.flows.size(), 40u);
+    for (const flow_outcome& o : report.flows) {
+        switch (o.flow_id % 4) {
+            case 0:
+                EXPECT_TRUE(o.completed && o.verified) << "flow " << o.flow_id;
+                break;
+            case 2:
+                EXPECT_TRUE(o.deadline_exceeded) << "flow " << o.flow_id;
+                break;
+            case 3:
+                EXPECT_TRUE(o.gave_up) << "flow " << o.flow_id;
+                break;
+        }
+    }
+    expect_nothing_outlived_the_flows(report);
 }
 
 // --- composition-legality gate ---------------------------------------------
@@ -378,6 +435,8 @@ TEST(EngineDeterminism, SameSeedSameDigest) {
     EXPECT_EQ(a.digest(), b.digest());
     EXPECT_EQ(a.payload_bytes, b.payload_bytes);
     EXPECT_EQ(a.completed, b.completed);
+    expect_nothing_outlived_the_flows(a);
+    expect_nothing_outlived_the_flows(b);
 }
 
 // Per-flow outcomes must not depend on how flows are packed onto shards:

@@ -2,7 +2,10 @@
 // deterministic fault injection and crossing accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "memsim/configs.h"
@@ -190,6 +193,88 @@ TEST(Datagram, ReorderInjectionSwapsAdjacentPackets) {
     for (int i = 0; i < 20; ++i) expected[i] = i;
     EXPECT_EQ(sorted, expected);
     EXPECT_NE(order, expected);
+}
+
+// The in-flight queue is kept sorted by (deliver_at, send order): with
+// reordering and duplication on three tags sharing the pipe, deliveries
+// come out as a stable sort of the enqueued packets by deliver_at.  Each
+// packet carries its send index; a packet is delivered exactly at its
+// deliver_at, which is send time + latency, or + 3 * latency + 1 when the
+// fault plan held it back.
+TEST(Datagram, DeliveryIsAStableSortByDeliverAt) {
+    constexpr sim_time latency = 5;
+    virtual_clock clock;
+    fault_config faults;
+    faults.reorder_probability = 0.5;
+    faults.duplicate_probability = 0.3;
+    faults.seed = 11;
+    datagram_pipe pipe(clock, latency, faults);
+    std::vector<std::pair<sim_time, std::uint32_t>> delivered;  // (at, index)
+    pipe.set_receiver([&](std::span<const std::byte> p) {
+        std::uint32_t index = 0;
+        std::memcpy(&index, p.data(), sizeof index);
+        delivered.emplace_back(clock.now(), index);
+    });
+    std::vector<sim_time> sent_at;
+    rng gaps(3);
+    for (std::uint32_t i = 0; i < 300; ++i) {
+        std::byte b[sizeof i];
+        std::memcpy(b, &i, sizeof i);
+        sent_at.push_back(clock.now());
+        pipe.send(direct_memory{}, std::span<const std::byte>(b), 1 + i % 3);
+        clock.advance(gaps.next_below(4));  // 0: several sends per instant
+    }
+    clock.advance(1000);
+
+    EXPECT_EQ(delivered.size(), 300 + pipe.stats().packets_duplicated);
+    EXPECT_GT(pipe.stats().packets_duplicated, 0u);
+    EXPECT_GT(pipe.stats().packets_reordered, 0u);
+    EXPECT_EQ(pipe.in_flight(), 0u);
+    std::size_t held_ties = 0;  // a held packet due with a later send
+    for (const auto& [at, index] : delivered) {
+        const sim_time in_order = sent_at[index] + latency;
+        EXPECT_TRUE(at == in_order || at == in_order + 2 * latency + 1)
+            << "packet " << index << " delivered at " << at;
+        if (at != in_order) {
+            held_ties += static_cast<std::size_t>(std::count_if(
+                delivered.begin(), delivered.end(), [&](const auto& d) {
+                    return d.first == at && d.second > index;
+                }));
+        }
+    }
+    EXPECT_GT(held_ties, 0u);
+    // Send order is index order and a duplicate's copies are enqueued back
+    // to back, so the stable sort by deliver_at is the sort by (at, index).
+    auto expected = delivered;
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(delivered, expected);
+}
+
+// On a latency-0 pipe a receiver that sends on the same pipe from its
+// handler sees the new packet in the same deliver_due() call, after the
+// packets already due (FIFO).
+TEST(Datagram, PacketSentFromTheHandlerIsDeliveredInTheSameCall) {
+    virtual_clock clock;
+    datagram_pipe pipe(clock, 0);
+    std::vector<int> order;
+    pipe.set_receiver([&](std::span<const std::byte> p) {
+        const int v = std::to_integer<int>(p[0]);
+        order.push_back(v);
+        if (v < 10) {  // an original: echo it as v + 10
+            const std::byte echo[1] = {static_cast<std::byte>(v + 10)};
+            pipe.send(direct_memory{}, std::span<const std::byte>(echo));
+        }
+    });
+    for (int v : {1, 2}) {
+        const std::byte b[1] = {static_cast<std::byte>(v)};
+        pipe.send(direct_memory{}, std::span<const std::byte>(b));
+    }
+    pipe.deliver_due();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 11, 12}));
+    EXPECT_EQ(pipe.in_flight(), 0u);
+    clock.advance(0);  // the packets' own timers find nothing left
+    EXPECT_EQ(order.size(), 4u);
+    EXPECT_EQ(pipe.stats().packets_delivered, 4u);
 }
 
 TEST(Datagram, FaultInjectionIsDeterministic) {

@@ -2,8 +2,14 @@
 // deterministic RNG, virtual clock, fixed_vector and hexdump.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/alignment.h"
 #include "util/endian.h"
@@ -175,6 +181,190 @@ TEST(VirtualClock, PendingTimerCount) {
     EXPECT_EQ(clock.pending_timers(), 2u);
     clock.advance(15);
     EXPECT_EQ(clock.pending_timers(), 1u);
+}
+
+// The linear-scan clock the heap replaced: every advance step scans all
+// timers for the earliest (deadline, token).  Kept as the reference the
+// differential test below holds virtual_clock to.
+class reference_clock {
+public:
+    sim_time now() const { return now_; }
+    void advance_to(sim_time target) {
+        for (;;) {
+            timer* next = nullptr;
+            for (timer& t : timers_) {
+                if (t.cancelled || t.deadline > target) continue;
+                if (next == nullptr || t.deadline < next->deadline ||
+                    (t.deadline == next->deadline && t.token < next->token)) {
+                    next = &t;
+                }
+            }
+            if (next == nullptr) break;
+            now_ = std::max(now_, next->deadline);
+            const auto fn = std::move(next->fn);
+            next->cancelled = true;
+            fn();
+        }
+        now_ = target;
+        std::erase_if(timers_, [](const timer& t) { return t.cancelled; });
+    }
+    void advance(sim_time delta) { advance_to(now_ + delta); }
+    std::uint64_t schedule_at(sim_time deadline, std::function<void()> fn) {
+        timers_.push_back(timer{deadline, next_token_, std::move(fn)});
+        return next_token_++;
+    }
+    bool cancel(std::uint64_t token) {
+        for (timer& t : timers_) {
+            if (t.token == token && !t.cancelled) return t.cancelled = true;
+        }
+        return false;
+    }
+    std::size_t pending_timers() const {
+        return static_cast<std::size_t>(std::count_if(
+            timers_.begin(), timers_.end(),
+            [](const timer& t) { return !t.cancelled; }));
+    }
+
+private:
+    struct timer {
+        sim_time deadline;
+        std::uint64_t token;
+        std::function<void()> fn;
+        bool cancelled = false;
+    };
+    sim_time now_ = 0;
+    std::uint64_t next_token_ = 1;
+    std::vector<timer> timers_;
+};
+
+// What a timer's callback does when it fires.  Drawn once by the test
+// and handed to both clocks, so their callbacks act alike.
+struct timer_plan {
+    enum kind_t { nothing, schedule_soon, schedule_past, cancel_other } kind;
+    std::uint64_t pick;  // child deadline offset / cancel victim / child plan
+    int depth;           // how many generations of children may follow
+};
+
+timer_plan draw_plan(rng& r, int depth) {
+    const auto kind = depth > 0 ? static_cast<timer_plan::kind_t>(
+                                      r.next_below(4))
+                                : timer_plan::nothing;
+    return timer_plan{kind, r.next_u64(), depth};
+}
+
+// Drives one clock and records what an observer can see of it: each
+// firing with now() inside the callback, and each cancel() verdict.
+// Timers are named by the order they were scheduled in, so the two
+// clocks' records compare directly even though their tokens differ.
+template <typename Clock>
+struct clock_harness {
+    Clock clock;
+    std::vector<std::uint64_t> tokens;  // by timer id
+    std::vector<std::pair<std::size_t, sim_time>> fired;
+    std::vector<bool> cancel_verdicts;
+
+    void schedule(sim_time deadline, timer_plan plan) {
+        const std::size_t id = tokens.size();
+        tokens.push_back(0);
+        tokens[id] = clock.schedule_at(deadline, [this, id, plan] {
+            fired.emplace_back(id, clock.now());
+            rng r(plan.pick);
+            const sim_time now = clock.now();
+            switch (plan.kind) {
+                case timer_plan::nothing:
+                    break;
+                case timer_plan::schedule_soon:  // offset 0: same instant
+                    schedule(now + r.next_below(3),
+                             draw_plan(r, plan.depth - 1));
+                    break;
+                case timer_plan::schedule_past:
+                    schedule(now - std::min<sim_time>(now, r.next_below(8)),
+                             draw_plan(r, plan.depth - 1));
+                    break;
+                case timer_plan::cancel_other:  // may be itself: false
+                    cancel(r.next_below(tokens.size()));
+                    break;
+            }
+        });
+    }
+    void cancel(std::size_t id) {
+        cancel_verdicts.push_back(clock.cancel(tokens[id]));
+    }
+};
+
+TEST(VirtualClock, MatchesTheLinearScanReference) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        rng r(seed);
+        clock_harness<virtual_clock> heap;
+        clock_harness<reference_clock> ref;
+        for (int step = 0; step < 10000; ++step) {
+            const sim_time now = ref.clock.now();
+            switch (r.next_below(8)) {
+                case 0:
+                case 1:
+                case 2: {  // narrow deadlines: many ties; some in the past
+                    const sim_time deadline =
+                        r.next_below(8) == 0
+                            ? now - std::min<sim_time>(now, r.next_below(10))
+                            : now + r.next_below(12);
+                    const timer_plan plan = draw_plan(r, 2);
+                    heap.schedule(deadline, plan);
+                    ref.schedule(deadline, plan);
+                    break;
+                }
+                case 3:
+                case 4: {  // live, fired or already cancelled
+                    const std::size_t n = ref.tokens.size();
+                    if (n == 0) break;
+                    // Recent timers are mostly live; older ones mostly not.
+                    const std::size_t id =
+                        r.next_bool(0.5)
+                            ? n - 1 - r.next_below(std::min<std::size_t>(n, 16))
+                            : r.next_below(n);
+                    heap.cancel(id);
+                    ref.cancel(id);
+                    break;
+                }
+                case 5:
+                case 6: {
+                    const sim_time delta = r.next_below(6);
+                    heap.clock.advance(delta);
+                    ref.clock.advance(delta);
+                    break;
+                }
+                case 7: {
+                    const sim_time target = now + r.next_below(6);
+                    heap.clock.advance_to(target);
+                    ref.clock.advance_to(target);
+                    break;
+                }
+            }
+            ASSERT_EQ(heap.fired, ref.fired) << "step " << step;
+            ASSERT_EQ(heap.cancel_verdicts, ref.cancel_verdicts)
+                << "step " << step;
+            ASSERT_EQ(heap.clock.now(), ref.clock.now()) << "step " << step;
+            ASSERT_EQ(heap.clock.pending_timers(), ref.clock.pending_timers())
+                << "step " << step;
+        }
+        // The mix fired timers and cancelled both live and dead ones.
+        const auto& verdicts = ref.cancel_verdicts;
+        EXPECT_GT(ref.fired.size(), 1000u);
+        EXPECT_GT(std::count(verdicts.begin(), verdicts.end(), true), 100);
+        EXPECT_GT(std::count(verdicts.begin(), verdicts.end(), false), 100);
+    }
+}
+
+// A cancelled timer's callback is released at once, not when its deadline
+// would have passed.
+TEST(VirtualClock, CancelReleasesTheCallback) {
+    virtual_clock clock;
+    auto held = std::make_shared<int>(0);
+    const auto token = clock.schedule_at(1000, [held] { ++*held; });
+    EXPECT_EQ(held.use_count(), 2);
+    EXPECT_TRUE(clock.cancel(token));
+    EXPECT_EQ(held.use_count(), 1);
+    EXPECT_EQ(clock.pending_timers(), 0u);
 }
 
 TEST(VirtualClockDeath, RewindViolatesMonotonicityContract) {
