@@ -1,12 +1,33 @@
 // The ILP loop: compile-time fusion of data-manipulation stages.
 //
 // `fused_pipeline<Stages...>` is the paper's integrated processing loop
-// (Fig. 1): each iteration reads one exchanged unit of Le bytes from the
-// source into scratch (registers), runs every stage on it sub-unit by
-// sub-unit, and writes it once to the destination.  Le is computed at
-// compile time as lcm(Ls, L1, ..., Ln) from the stage unit sizes, with
-// Ls = 8 modelling a 64-bit memory path (§2.2: "Le should also be chosen
-// large enough to utilize the hardware architecture efficiently").
+// (Fig. 1): data is read once from the source into scratch (registers), every
+// stage runs on it, and it is written once to the destination.  The exchanged
+// unit Le is computed at compile time as lcm(Ls, L1, ..., Ln) from the stage
+// unit sizes, with Ls = 8 modelling a 64-bit memory path (§2.2: "Le should
+// also be chosen large enough to utilize the hardware architecture
+// efficiently").
+//
+// The loop has two shapes, chosen by the memory policy:
+//
+//  * Under `sim_memory` and `trace_memory` it is the paper's loop exactly:
+//    each iteration fills one Le-byte unit, runs every stage on it sub-unit
+//    by sub-unit, and drains it.  The figure reproductions and the memsim
+//    access counts measure this loop.
+//  * Under `direct_memory` (native runs) it is strip-mined: it fills a stack
+//    strip of `strip_bytes` (a multiple of Le) once, runs each stage across
+//    the whole strip in unit order, then drains the strip once.  The cursor's
+//    segment switch and each stage's set-up are paid per strip rather than
+//    per unit, and each stage's loop is a tight loop the compiler can
+//    schedule.
+//
+// The two shapes give the same bytes and the same accumulators: every stage
+// still sees its units in the same order, each unit passes the stages in
+// the same order (so a tap between two stages sees the same data), and the
+// strip never crosses the end of a `run()` call, so part cuts — and the
+// analyzer's ordering and alignment rules over them — are unchanged.  The
+// strip is the wider "register file" of a modern core; memory traffic is
+// still one read and one write per datum.
 //
 // Stage calls are statically dispatched and force-inlined — the modern form
 // of the paper's macro expansion (§3.2.1: replacing macros with function
@@ -17,6 +38,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -29,6 +51,10 @@
 
 namespace ilp::core {
 
+// Native strip length S in bytes, chosen by a sweep over 8 B .. 4 KiB
+// (DESIGN.md §5k).  A compile-time constant, not a knob.
+inline constexpr std::size_t native_strip_bytes = 2048;
+
 template <data_stage... Stages>
 class fused_pipeline {
 public:
@@ -36,6 +62,12 @@ public:
     // system parameter Ls = 8 (64-bit memory path).
     static constexpr std::size_t unit_bytes =
         exchange_unit_of(std::size_t{8}, Stages::unit_bytes...);
+
+    // Bytes per native strip: S, or one exchanged unit when Le > S.
+    static constexpr std::size_t strip_bytes =
+        unit_bytes > native_strip_bytes ? unit_bytes : native_strip_bytes;
+    static_assert(strip_bytes % unit_bytes == 0,
+                  "a strip must hold whole exchanged units");
 
     // True if any fused stage requires strictly serial processing; the
     // message planner consults this before scheduling parts out of order.
@@ -63,11 +95,18 @@ public:
     void run(const Mem& mem, gather_cursor& src, scatter_cursor& dst,
              std::size_t n) {
         ILP_EXPECT(n % unit_bytes == 0);
-        alignas(8) std::byte scratch[unit_bytes];
-        for (std::size_t off = 0; off < n; off += unit_bytes) {
-            src.fill(mem, scratch, unit_bytes);
-            apply_stages(mem, scratch, std::index_sequence_for<Stages...>{});
-            dst.drain(mem, scratch, unit_bytes);
+        // A strip natively; the paper's one unit under the simulator and
+        // the tracer.
+        constexpr std::size_t step =
+            std::is_same_v<Mem, memsim::direct_memory> ? strip_bytes
+                                                       : unit_bytes;
+        alignas(8) std::byte scratch[step];
+        for (std::size_t off = 0; off < n; off += step) {
+            const std::size_t len = std::min(step, n - off);
+            src.fill(mem, scratch, len);
+            apply_stages(mem, scratch, len,
+                         std::index_sequence_for<Stages...>{});
+            dst.drain(mem, scratch, len);
         }
     }
 
@@ -83,18 +122,22 @@ public:
     }
 
 private:
+    // Runs each stage in turn over the `len` bytes at `scratch`, one stage
+    // unit after another.
     template <memsim::memory_policy Mem, std::size_t... I>
     ILP_ALWAYS_INLINE void apply_stages([[maybe_unused]] const Mem& mem,
                                         [[maybe_unused]] std::byte* scratch,
+                                        [[maybe_unused]] std::size_t len,
                                         std::index_sequence<I...>) {
-        (apply_one<I>(mem, scratch), ...);
+        (apply_one<I>(mem, scratch, len), ...);
     }
 
     template <std::size_t I, memsim::memory_policy Mem>
-    ILP_ALWAYS_INLINE void apply_one(const Mem& mem, std::byte* scratch) {
+    ILP_ALWAYS_INLINE void apply_one(const Mem& mem, std::byte* scratch,
+                                     std::size_t len) {
         using stage_type = std::tuple_element_t<I, std::tuple<Stages...>>;
         auto* stage = std::get<I>(stages_);
-        for (std::size_t i = 0; i < unit_bytes; i += stage_type::unit_bytes) {
+        for (std::size_t i = 0; i < len; i += stage_type::unit_bytes) {
             stage->process_unit(mem, scratch + i);
         }
     }

@@ -9,7 +9,10 @@
 //       checksum (the general form of the paper's B,C,A claim);
 //   P3  gather/scatter with arbitrary random segmentation round-trips and
 //       equals the contiguous reference;
-//   P4  slicing a gather source at every legal offset equals the full run.
+//   P4  slicing a gather source at every legal offset equals the full run;
+//   P5  the native strip-mined loop (direct_memory) equals the paper's
+//       Le-per-iteration loop (sim_memory) for every composition the stack
+//       fuses, across strip edges, segment layouts and part tilings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,13 +21,17 @@
 #include <vector>
 
 #include "buffer/byte_buffer.h"
+#include "checksum/crc32.h"
 #include "checksum/internet_checksum.h"
 #include "core/fused_pipeline.h"
 #include "core/layered_path.h"
 #include "core/stage.h"
+#include "crypto/aead.h"
 #include "crypto/safer_k64.h"
 #include "crypto/safer_simplified.h"
 #include "crypto/simple_cipher.h"
+#include "memsim/configs.h"
+#include "memsim/memory_system.h"
 #include "util/rng.h"
 
 namespace ilp::core {
@@ -251,6 +258,302 @@ TEST(ChecksumTapProperty, Tap2AndTap8Agree) {
         pipe8.run(mem, span_source(payload), span_dest(out8.span()));
         EXPECT_EQ(acc2.finish(), acc8.finish()) << "n=" << n;
         EXPECT_EQ(std::memcmp(out2.data(), out8.data(), n), 0);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// P5: the native strip-mined loop equals the paper's Le loop
+//
+// Each composition runs twice on identical inputs: under direct_memory
+// (strips of S bytes) and under sim_memory (one Le unit per iteration).
+// Output bytes and every accumulator the composition feeds must agree.
+
+using send_loop_v2 =
+    fused_pipeline<encrypt_stage<crypto::safer_simplified>, checksum_tap8>;
+constexpr std::size_t strip_s = send_loop_v2::strip_bytes;
+constexpr std::size_t unit_le = send_loop_v2::unit_bytes;
+
+struct strip_result {
+    std::vector<std::byte> out;
+    std::vector<std::uint64_t> acc;
+};
+
+using tiling = std::vector<std::pair<std::size_t, std::size_t>>;
+
+// Message lengths from 0 to 3·S: the strip edges S−Le, S, S+Le (and their
+// multiples) plus seeded random lengths.
+std::vector<std::size_t> strip_lengths(rng& r) {
+    std::vector<std::size_t> out = {0, unit_le, 2 * unit_le};
+    for (std::size_t k = 1; k <= 3; ++k) {
+        out.push_back(k * strip_s - unit_le);
+        out.push_back(k * strip_s);
+        if (k < 3) out.push_back(k * strip_s + unit_le);
+    }
+    for (int i = 0; i < 8; ++i) {
+        out.push_back(unit_le * r.next_below(3 * strip_s / unit_le + 1));
+    }
+    return out;
+}
+
+struct layout_segment {
+    std::size_t offset = 0;
+    std::size_t len = 0;
+    segment_op op = segment_op::copy;
+};
+
+// Up to max_segments segments at byte-granular cuts; xdr_words only where
+// both ends fall on a word boundary, as marshalled integers do.
+std::vector<layout_segment> random_layout(rng& r, std::size_t n) {
+    std::vector<layout_segment> layout;
+    if (n == 0) return layout;
+    std::vector<std::size_t> cuts = {0, n};
+    const std::size_t count = 1 + r.next_below(max_segments);
+    for (std::size_t i = 1; i < count; ++i) cuts.push_back(r.next_below(n));
+    std::sort(cuts.begin(), cuts.end());
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+        const std::size_t a = cuts[i];
+        const std::size_t b = cuts[i + 1];
+        const bool words = a % 4 == 0 && b % 4 == 0;
+        const auto pick = r.next_below(words ? 3 : 2);
+        layout.push_back({a, b - a,
+                          pick == 0   ? segment_op::copy
+                          : pick == 1 ? segment_op::zeros
+                                      : segment_op::xdr_words});
+    }
+    return layout;
+}
+
+gather_source make_source(const std::vector<layout_segment>& layout,
+                          std::span<const std::byte> data) {
+    gather_source src;
+    for (const auto& s : layout) {
+        if (s.op == segment_op::zeros) {
+            src.add_zeros(s.len);
+        } else {
+            src.add(data.subspan(s.offset, s.len), s.op);
+        }
+    }
+    return src;
+}
+
+scatter_dest make_dest(const std::vector<layout_segment>& layout,
+                       std::span<std::byte> data) {
+    scatter_dest dst;
+    for (const auto& s : layout) {
+        if (s.op == segment_op::zeros) {
+            dst.add_discard(s.len);
+        } else {
+            dst.add(data.subspan(s.offset, s.len), s.op);
+        }
+    }
+    return dst;
+}
+
+// A ring destination wrapping at a random byte.
+scatter_dest wrapped_dest(rng& r, std::span<std::byte> data) {
+    const std::size_t wrap = r.next_below(data.size() + 1);
+    return ring_dest({data.first(wrap), data.subspan(wrap)});
+}
+
+// Parts of Le..2·S bytes (so they straddle strip edges), shuffled unless
+// the composition is ordering-constrained.
+tiling random_tiling(rng& r, std::size_t n, bool shuffle) {
+    tiling parts;
+    for (std::size_t off = 0; off < n;) {
+        const std::size_t len = std::min<std::size_t>(
+            unit_le * (1 + r.next_below(2 * strip_s / unit_le)), n - off);
+        parts.emplace_back(off, len);
+        off += len;
+    }
+    if (shuffle) {
+        for (std::size_t i = parts.size(); i > 1; --i) {
+            std::swap(parts[i - 1], parts[r.next_below(i)]);
+        }
+    }
+    return parts;
+}
+
+template <typename Pipe, memsim::memory_policy Mem>
+void run_tiled(Pipe& pipe, const Mem& mem, const gather_source& src,
+               const scatter_dest& dst, const tiling& parts) {
+    for (const auto& [off, len] : parts) {
+        pipe.run(mem, src.slice(off, len), dst.slice(off, len));
+    }
+}
+
+std::vector<std::byte> prefilled(std::size_t n) {
+    return std::vector<std::byte>(n, std::byte{0xa5});
+}
+
+// Runs `run_case(mem, case_seed, n)` natively and under the simulator for
+// every length, with the same case seed on both sides.
+template <typename Case>
+void expect_strip_equals_le(std::uint64_t seed, Case run_case) {
+    rng r(seed);
+    memsim::memory_system sys(memsim::test_tiny());
+    const memsim::sim_memory sim(sys);
+    for (const std::size_t n : strip_lengths(r)) {
+        const std::uint64_t case_seed = r.next_u64();
+        const strip_result native = run_case(direct_memory{}, case_seed, n);
+        const strip_result paper = run_case(sim, case_seed, n);
+        ASSERT_EQ(native.out, paper.out)
+            << "seed=" << seed << " case_seed=" << case_seed << " n=" << n;
+        ASSERT_EQ(native.acc, paper.acc)
+            << "seed=" << seed << " case_seed=" << case_seed << " n=" << n;
+    }
+}
+
+constexpr std::uint64_t strip_seeds[] = {1, 2, 3, 4};
+
+TEST(StripEqualsLe, V2SendEncryptChecksum) {
+    const auto key = test_key(101);
+    const crypto::safer_simplified cipher{std::span<const std::byte>(key)};
+    for (const std::uint64_t seed : strip_seeds) {
+        expect_strip_equals_le(seed, [&](const auto& mem, std::uint64_t s,
+                                         std::size_t n) {
+            rng r(s);
+            const auto app = random_bytes(n, r.next_u64());
+            const gather_source src = make_source(random_layout(r, n), app);
+            auto ring = prefilled(n);
+            const scatter_dest dst = wrapped_dest(r, ring);
+            checksum::inet_accumulator acc;
+            encrypt_stage<crypto::safer_simplified> enc(cipher);
+            checksum_tap8 tap(acc);
+            auto pipe = make_pipeline(enc, tap);
+            run_tiled(pipe, mem, src, dst, random_tiling(r, n, true));
+            return strip_result{ring, {acc.finish()}};
+        });
+    }
+}
+
+TEST(StripEqualsLe, V3AeadSend) {
+    std::array<std::byte, crypto::aead_cipher::key_bytes> key;
+    rng(102).fill(key);
+    const crypto::aead_cipher cipher{std::span<const std::byte>(key)};
+    for (const std::uint64_t seed : strip_seeds) {
+        expect_strip_equals_le(seed, [&](const auto& mem, std::uint64_t s,
+                                         std::size_t n) {
+            rng r(s);
+            const auto app = random_bytes(n, r.next_u64());
+            const gather_source src = make_source(random_layout(r, n), app);
+            auto ring = prefilled(n);
+            const scatter_dest dst = wrapped_dest(r, ring);
+            checksum::inet_accumulator acc;
+            crypto::aead_tag_accumulator tag;
+            aead_encrypt_stage<crypto::aead_cipher> enc(cipher, tag);
+            checksum_tap8 tap(acc);
+            auto pipe = make_pipeline(enc, tap);
+            run_tiled(pipe, mem, src, dst, random_tiling(r, n, true));
+            return strip_result{ring, {acc.finish(), tag.sum}};
+        });
+    }
+}
+
+// The receive loop: checksum tap over the ciphertext, then decrypt, reading
+// a two-span chain (the receive-ring wrap) into a scattered destination.
+// `make_decrypt(tag)` builds the decrypt stage, feeding `tag` if it has one.
+template <typename MakeDecrypt>
+void expect_receive_strip_equals_le(MakeDecrypt make_decrypt) {
+    for (const std::uint64_t seed : strip_seeds) {
+        expect_strip_equals_le(seed, [&](const auto& mem, std::uint64_t s,
+                                         std::size_t n) {
+            rng r(s);
+            const auto wire = random_bytes(n, r.next_u64());
+            const std::size_t wrap = r.next_below(n + 1);
+            const std::span<const std::byte> w(wire);
+            const gather_source src =
+                chain_source({w.first(wrap), w.subspan(wrap)});
+            auto app = prefilled(n);
+            const scatter_dest dst = make_dest(random_layout(r, n), app);
+            checksum::inet_accumulator acc;
+            crypto::aead_tag_accumulator tag;
+            checksum_tap8 tap(acc);
+            auto dec = make_decrypt(tag);
+            auto pipe = make_pipeline(tap, dec);
+            run_tiled(pipe, mem, src, dst, random_tiling(r, n, true));
+            return strip_result{app, {acc.finish(), tag.sum}};
+        });
+    }
+}
+
+TEST(StripEqualsLe, V2ReceiveTapDecryptOverWrap) {
+    const auto key = test_key(103);
+    const crypto::safer_simplified cipher{std::span<const std::byte>(key)};
+    expect_receive_strip_equals_le([&](crypto::aead_tag_accumulator&) {
+        return decrypt_stage<crypto::safer_simplified>(cipher);
+    });
+}
+
+TEST(StripEqualsLe, V3ReceiveTapAeadDecryptOverWrap) {
+    std::array<std::byte, crypto::aead_cipher::key_bytes> key;
+    rng(104).fill(key);
+    const crypto::aead_cipher cipher{std::span<const std::byte>(key)};
+    expect_receive_strip_equals_le([&](crypto::aead_tag_accumulator& tag) {
+        return aead_decrypt_stage<crypto::aead_cipher>(cipher, tag);
+    });
+}
+
+// The send path's trailer loop: a copy with the checksum tap riding along.
+TEST(StripEqualsLe, TrailerCopyLoop) {
+    for (const std::uint64_t seed : strip_seeds) {
+        expect_strip_equals_le(seed, [](const auto& mem, std::uint64_t s,
+                                        std::size_t n) {
+            rng r(s);
+            const auto trailer = random_bytes(n, r.next_u64());
+            auto ring = prefilled(n);
+            const scatter_dest dst = wrapped_dest(r, ring);
+            checksum::inet_accumulator acc;
+            opaque_stage copy;
+            checksum_tap8 tap(acc);
+            auto pipe = make_pipeline(copy, tap);
+            run_tiled(pipe, mem, span_source(trailer), dst,
+                      random_tiling(r, n, true));
+            return strip_result{ring, {acc.finish()}};
+        });
+    }
+}
+
+// An ordering-constrained tap: parts strictly in order, CRC over ciphertext.
+TEST(StripEqualsLe, EncryptCrc32InOrder) {
+    const auto key = test_key(105);
+    const crypto::safer_simplified cipher{std::span<const std::byte>(key)};
+    for (const std::uint64_t seed : strip_seeds) {
+        expect_strip_equals_le(seed, [&](const auto& mem, std::uint64_t s,
+                                         std::size_t n) {
+            rng r(s);
+            const auto app = random_bytes(n, r.next_u64());
+            const gather_source src = make_source(random_layout(r, n), app);
+            auto out = prefilled(n);
+            checksum::crc32 crc;
+            encrypt_stage<crypto::safer_simplified> enc(cipher);
+            crc32_tap tap(crc);
+            auto pipe = make_pipeline(enc, tap);
+            static_assert(decltype(pipe)::ordering_constrained);
+            run_tiled(pipe, mem, src, span_dest(out),
+                      random_tiling(r, n, false));
+            return strip_result{out, {crc.value()}};
+        });
+    }
+}
+
+// The layered path's single-stage passes: marshal a gathered message into a
+// contiguous buffer, unmarshal a contiguous wire image into scattered fields.
+TEST(StripEqualsLe, LayeredMarshalUnmarshal) {
+    for (const std::uint64_t seed : strip_seeds) {
+        expect_strip_equals_le(seed, [](const auto& mem, std::uint64_t s,
+                                        std::size_t n) {
+            rng r(s);
+            const auto app = random_bytes(n, r.next_u64());
+            const auto wire = random_bytes(n, r.next_u64());
+            auto out = prefilled(2 * n);
+            const std::span<std::byte> o(out);
+            marshal_to_buffer(mem, make_source(random_layout(r, n), app),
+                              o.first(n));
+            unmarshal_from_buffer(mem, wire,
+                                  make_dest(random_layout(r, n), o.subspan(n)));
+            return strip_result{out, {}};
+        });
     }
 }
 
