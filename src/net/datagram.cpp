@@ -12,38 +12,72 @@ datagram_pipe::datagram_pipe(virtual_clock& clock, sim_time latency_us,
     : clock_(&clock),
       latency_us_(latency_us),
       faults_(faults),
-      untagged_(faults, faults.seed),
       kernel_staging_(max_packet_bytes),
       deliver_buffer_(max_packet_bytes),
-      rx_ring_(max_packet_bytes + 512) {}
+      rx_ring_(max_packet_bytes + 512) {
+    states_.emplace_back(faults, faults.seed);
+}
 
 void datagram_pipe::configure_tag(std::uint32_t tag,
                                   const fault_config& faults) {
     ILP_EXPECT(tag != 0);
-    tagged_.insert_or_assign(
-        tag, fault_state(faults, derive_seed(faults.seed, tag)));
+    fault_state fresh(faults, derive_seed(faults.seed, tag));
+    const auto it = slot_of_.find(tag);
+    if (it == slot_of_.end()) {
+        slot_of_.emplace(tag, static_cast<std::uint32_t>(states_.size()));
+        states_.push_back(std::move(fresh));
+        return;
+    }
+    // A new plan restarts the tag's coin stream and its counters, but the
+    // packets it already has queued are still in flight.
+    fault_state& fs = states_[it->second];
+    fresh.stats.in_flight = fs.stats.in_flight;
+    fs = std::move(fresh);
 }
 
-datagram_pipe::fault_state& datagram_pipe::state_for(std::uint32_t tag) {
-    if (tag == 0) return untagged_;
-    const auto it = tagged_.find(tag);
-    if (it != tagged_.end()) return it->second;
+std::uint32_t datagram_pipe::state_index(std::uint32_t tag) {
+    if (tag == 0) return 0;
+    const auto it = slot_of_.find(tag);
+    if (it != slot_of_.end()) return it->second;
     // Unconfigured tag: inherit the pipe-level plan on the tag's own stream.
-    return tagged_
-        .emplace(tag, fault_state(faults_, derive_seed(faults_.seed, tag)))
-        .first->second;
+    const auto index = static_cast<std::uint32_t>(states_.size());
+    states_.emplace_back(faults_, derive_seed(faults_.seed, tag));
+    slot_of_.emplace(tag, index);
+    return index;
+}
+
+const datagram_pipe::fault_state* datagram_pipe::find_state(
+    std::uint32_t tag) const {
+    if (tag == 0) return &states_[0];
+    const auto it = slot_of_.find(tag);
+    return it == slot_of_.end() ? nullptr : &states_[it->second];
 }
 
 tag_stats datagram_pipe::stats_for_tag(std::uint32_t tag) const {
-    if (tag == 0) return untagged_.stats;
-    const auto it = tagged_.find(tag);
-    return it == tagged_.end() ? tag_stats{} : it->second.stats;
+    const fault_state* fs = find_state(tag);
+    return fs == nullptr ? tag_stats{} : fs->stats;
 }
 
 std::size_t datagram_pipe::in_flight_for(std::uint32_t tag) const {
-    if (tag == 0) return untagged_.stats.in_flight;
-    const auto it = tagged_.find(tag);
-    return it == tagged_.end() ? 0 : it->second.stats.in_flight;
+    const fault_state* fs = find_state(tag);
+    return fs == nullptr ? 0 : fs->stats.in_flight;
+}
+
+std::vector<std::byte> datagram_pipe::take_buffer() {
+    if (spare_buffers_.empty()) return {};
+    std::vector<std::byte> buffer = std::move(spare_buffers_.back());
+    spare_buffers_.pop_back();
+    spare_bytes_ -= buffer.capacity();
+    return buffer;
+}
+
+void datagram_pipe::recycle(std::vector<std::byte>& buffer) {
+    if (spare_bytes_ + buffer.capacity() <= max_spare_bytes) {
+        spare_bytes_ += buffer.capacity();
+        spare_buffers_.push_back(std::move(buffer));
+    } else {
+        buffer = std::vector<std::byte>();  // a burst's surplus
+    }
 }
 
 // Decides whether the packet is lost before it reaches the in-flight queue,
@@ -91,7 +125,8 @@ void datagram_pipe::enqueue(std::size_t bytes, std::uint32_t tag,
     ++stats_.packets_sent;
     ++stats_.send_crossings;
     stats_.bytes_sent += bytes;
-    fault_state& fs = state_for(tag);
+    const std::uint32_t state = state_index(tag);
+    fault_state& fs = states_[state];
     ++fs.stats.packets_sent;
 
     if (lose_packet(fs)) return;
@@ -123,8 +158,11 @@ void datagram_pipe::enqueue(std::size_t bytes, std::uint32_t tag,
             continue;
         }
         in_flight_packet pkt;
-        pkt.tag = tag;
+        pkt.state = state;
         pkt.zero_copy = zero_copy;
+        // Each copy gets its own buffer: a duplicate's corruption and
+        // truncation must not reach the other copy.
+        pkt.data = take_buffer();
         pkt.data.assign(kernel_staging_.data(), kernel_staging_.data() + bytes);
         if (fs.coin.next_bool(fs.faults.corrupt_probability)) {
             ++stats_.packets_corrupted;
@@ -177,12 +215,17 @@ void datagram_pipe::enqueue(std::size_t bytes, std::uint32_t tag,
         if (queue_.empty() || queue_.back().deliver_at <= deliver_at) {
             queue_.push_back(std::move(pkt));
         } else {
-            const auto at = std::upper_bound(
-                queue_.begin(), queue_.end(), deliver_at,
-                [](sim_time t, const in_flight_packet& p) {
-                    return t < p.deliver_at;
-                });
-            queue_.insert(at, std::move(pkt));
+            std::size_t lo = 0;
+            std::size_t hi = queue_.size();
+            while (lo < hi) {
+                const std::size_t mid = lo + (hi - lo) / 2;
+                if (queue_[mid].deliver_at <= deliver_at) {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            queue_.insert(lo, std::move(pkt));
         }
         ++fs.stats.in_flight;
         clock_->schedule_at(deliver_at, [this] { deliver_due(); });
@@ -194,7 +237,7 @@ void datagram_pipe::deliver_due() {
     const sim_time now = clock_->now();
     // queue_ is sorted, so the front is the earliest due packet.
     while (!queue_.empty() && queue_.front().deliver_at <= now) {
-        const in_flight_packet& pkt = queue_.front();
+        in_flight_packet& pkt = queue_.front();
         const std::size_t n = pkt.data.size();
         const bool loaned = on_segment_ != nullptr &&
                             (pkt.zero_copy || on_packet_ == nullptr);
@@ -222,10 +265,13 @@ void datagram_pipe::deliver_due() {
         } else {
             std::memcpy(deliver_buffer_.data(), pkt.data.data(), n);
         }
-        fault_state& fs = state_for(pkt.tag);
+        fault_state& fs = states_[pkt.state];
         ILP_EXPECT(fs.stats.in_flight > 0);
         --fs.stats.in_flight;
         ++fs.stats.packets_delivered;
+        recycle(pkt.data);
+        // Popped before the handler runs: a send from the handler may
+        // grow the queue.
         queue_.pop_front();
         ++stats_.packets_delivered;
         ++stats_.deliver_crossings;

@@ -17,16 +17,16 @@
 
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <functional>
-#include <map>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "buffer/byte_buffer.h"
 #include "buffer/ring_buffer.h"
 #include "memsim/mem_policy.h"
 #include "util/contracts.h"
+#include "util/ring_queue.h"
 #include "util/rng.h"
 #include "util/virtual_clock.h"
 
@@ -138,6 +138,11 @@ struct tag_stats {
 // queue stays shared (faults_.max_queue_packets), with an optional per-tag
 // fair-share cap so one retransmit-happy flow cannot occupy the whole queue
 // and starve the rest.
+//
+// Per-packet cost is fixed and, in steady state, free of heap allocation:
+// queued packets live in pipe-owned buffers that are recycled after
+// delivery, the sorted queue is a ring that keeps its storage once grown,
+// and a tag's fault state is found by hash, not by a tree walk.
 class datagram_pipe {
 public:
     static constexpr std::size_t max_packet_bytes = 8 * 1024;
@@ -231,16 +236,29 @@ public:
 
     const pipe_stats& stats() const noexcept { return stats_; }
     std::size_t in_flight() const noexcept { return queue_.size(); }
-    // Per-tag accounting; zeroed stats for a tag never seen.
+    // Per-tag accounting; zeroed stats for a tag never seen (the query
+    // creates no state).
     tag_stats stats_for_tag(std::uint32_t tag) const;
     std::size_t in_flight_for(std::uint32_t tag) const;
+    // Tags holding a fault state of their own: every tag sent on or
+    // configured so far.
+    std::size_t tags_seen() const noexcept { return slot_of_.size(); }
 
 private:
+    // Bytes of idle packet buffers kept for reuse.  A shard tick queues a
+    // burst (16 flows x 32 grants of 148 B on small_secure, ~75 KiB) and
+    // then drains it, so the budget must hold a whole tick's packets for
+    // the next tick to allocate nothing.  A deeper burst (a fleet queueing
+    // thousands of replies at once) frees its surplus as it drains, so
+    // what the pipe keeps is bounded by this, not by its peak.
+    static constexpr std::size_t max_spare_bytes = 256 * 1024;
+
     struct in_flight_packet {
+        sim_time deliver_at = 0;
+        // The packet's bytes, in a buffer the pipe recycles after delivery.
         std::vector<std::byte> data;
-        sim_time deliver_at;
-        std::uint32_t tag = 0;
-        bool zero_copy = false;  // sent with send_zero_copy
+        std::uint32_t state = 0;  // index of the tag's fault_state
+        bool zero_copy = false;   // sent with send_zero_copy
     };
 
     // Fault-plan state of one coin stream (the untagged stream or one tag's
@@ -257,13 +275,21 @@ private:
     void enqueue(std::size_t bytes, std::uint32_t tag, bool zero_copy);
     // Outage / burst / Bernoulli verdict against one stream's plan.
     bool lose_packet(fault_state& fs);
-    fault_state& state_for(std::uint32_t tag);
+    // Index of the tag's fault state, created on the tag's first send.
+    std::uint32_t state_index(std::uint32_t tag);
+    const fault_state* find_state(std::uint32_t tag) const;
+    std::vector<std::byte> take_buffer();
+    void recycle(std::vector<std::byte>& buffer);
 
     virtual_clock* clock_;
     sim_time latency_us_;
     fault_config faults_;
-    fault_state untagged_;
-    std::map<std::uint32_t, fault_state> tagged_;
+    // Dense per-stream states: [0] is the untagged stream, then one per tag
+    // in the order the pipe first saw them.  slot_of_ maps a tag to its
+    // index, so the table grows with the tags in use, not with their
+    // values (engine tags are flow ids + 1).
+    std::vector<fault_state> states_;
+    std::unordered_map<std::uint32_t, std::uint32_t> slot_of_;
     std::size_t per_tag_queue_cap_ = 0;
     handler on_packet_;
     segment_handler on_segment_;
@@ -275,11 +301,14 @@ private:
     byte_buffer rx_ring_;
     std::size_t rx_offset_ = 0;
     // Invariant: sorted by (deliver_at, send order).  deliver_due() pops
-    // due packets off the front; enqueue() inserts at upper_bound(
-    // deliver_at), which for a packet no held one outlasts is the back.  Each
-    // enqueued packet also holds one clock timer, so pipes sharing a clock
-    // interleave their deliveries in the clock's (deadline, token) order.
-    std::deque<in_flight_packet> queue_;
+    // due packets off the front; enqueue() inserts after the last packet
+    // due no later than the new one, which for a packet no held one
+    // outlasts is the back.  Each enqueued packet also holds one clock
+    // timer, so pipes sharing a clock interleave their deliveries in the
+    // clock's (deadline, token) order.
+    ring_queue<in_flight_packet> queue_;
+    std::vector<std::vector<std::byte>> spare_buffers_;
+    std::size_t spare_bytes_ = 0;  // total capacity of spare_buffers_
     pipe_stats stats_;
 };
 

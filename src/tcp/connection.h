@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <utility>
@@ -36,6 +35,7 @@
 #include "obs/tracer.h"
 #include "tcp/header.h"
 #include "util/contracts.h"
+#include "util/ring_queue.h"
 #include "util/virtual_clock.h"
 
 namespace ilp::tcp {
@@ -353,12 +353,13 @@ public:
     }
 
 private:
+    // Fields ordered so the record packs into 24 bytes.
     struct segment_meta {
         std::uint32_t seq = 0;
-        std::size_t len = 0;
         std::uint16_t payload_sum = 0;  // folded payload checksum
-        sim_time first_sent_at = 0;
         bool retransmitted = false;  // Karn's rule: no RTT sample then
+        std::size_t len = 0;
+        sim_time first_sent_at = 0;
     };
 
     std::uint16_t checksum_over_ring(std::size_t offset, std::size_t len) {
@@ -512,7 +513,8 @@ private:
         }
         // Go-back-N: retransmit everything outstanding, with timer backoff.
         if (backoff_shift_ < 16) ++backoff_shift_;
-        for (segment_meta& meta : unacked_) {
+        for (std::size_t i = 0; i < unacked_.size(); ++i) {
+            segment_meta& meta = unacked_[i];
             meta.retransmitted = true;
             transmit(meta);
             ++stats_.retransmissions;
@@ -525,7 +527,7 @@ private:
     net::datagram_pipe* out_;
     connection_config config_;
     ring_buffer ring_;
-    std::deque<segment_meta> unacked_;
+    ring_queue<segment_meta> unacked_;
     std::uint32_t snd_una_;
     std::uint32_t snd_nxt_;
     std::size_t pending_bytes_ = 0;  // reserved-but-uncommitted segments

@@ -2,10 +2,15 @@
 //
 // Used on the per-packet fast path (gather/scatter segment lists, message
 // part schedules) where allocation would distort both the wall-clock
-// benchmarks and the simulated memory traffic.
+// benchmarks and the simulated memory traffic.  Slots past size() are left
+// uninitialised and copies move only the size() live elements: a gather
+// list is sliced several times per packet, and zero-filling or copying all
+// Capacity slots each time cost more than the slice itself.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <type_traits>
 
 #include "util/contracts.h"
 
@@ -13,10 +18,27 @@ namespace ilp {
 
 template <typename T, std::size_t Capacity>
 class fixed_vector {
+    // Slots are raw storage: only types that need no construction or
+    // destruction to come and go may live there.
+    static_assert(std::is_trivially_copyable_v<T>);
+    static_assert(std::is_trivially_destructible_v<T>);
+
 public:
     using value_type = T;
 
-    fixed_vector() = default;
+    fixed_vector() noexcept {}  // leaves the slots uninitialised
+
+    fixed_vector(const fixed_vector& other) noexcept : size_(other.size_) {
+        std::copy_n(other.items_, size_, items_);
+    }
+
+    fixed_vector& operator=(const fixed_vector& other) noexcept {
+        if (this != &other) {
+            size_ = other.size_;
+            std::copy_n(other.items_, size_, items_);
+        }
+        return *this;
+    }
 
     std::size_t size() const noexcept { return size_; }
     static constexpr std::size_t capacity() noexcept { return Capacity; }
@@ -53,7 +75,9 @@ public:
     const T* end() const noexcept { return items_ + size_; }
 
 private:
-    T items_[Capacity] = {};
+    union {
+        T items_[Capacity];
+    };
     std::size_t size_ = 0;
 };
 

@@ -8,12 +8,14 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "util/alignment.h"
 #include "util/endian.h"
 #include "util/fixed_vector.h"
+#include "util/ring_queue.h"
 #include "util/hexdump.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -444,6 +446,101 @@ TEST(FixedVector, PushAndIterate) {
     EXPECT_TRUE(v.full());
     v.clear();
     EXPECT_TRUE(v.empty());
+}
+
+// Copies move only the live elements: the destination's slots past the
+// source's size() keep what they held.
+TEST(FixedVector, CopyAndAssignCopyExactlySizeElements) {
+    using small = fixed_vector<int, 6>;
+    static_assert(std::is_trivially_copyable_v<small::value_type>);
+    static_assert(std::is_trivially_destructible_v<small::value_type>);
+
+    small source;
+    for (int x : {11, 12, 13, 14, 15, 16}) source.push_back(x);
+    source.clear();
+    source.push_back(1);
+    source.push_back(2);  // partly filled: 2 of 6
+
+    const small copy(source);
+    ASSERT_EQ(copy.size(), 2u);
+    EXPECT_EQ(copy[0], 1);
+    EXPECT_EQ(copy[1], 2);
+
+    small target;
+    for (int x : {21, 22, 23, 24, 25}) target.push_back(x);
+    target = source;
+    ASSERT_EQ(target.size(), 2u);
+    EXPECT_EQ(target[0], 1);
+    EXPECT_EQ(target[1], 2);
+    // Slots 2..4 were not copied over: they still hold the old elements.
+    EXPECT_EQ(target.data()[2], 23);
+    EXPECT_EQ(target.data()[3], 24);
+    EXPECT_EQ(target.data()[4], 25);
+
+    target = target;  // self-assignment keeps the contents
+    ASSERT_EQ(target.size(), 2u);
+    EXPECT_EQ(target[1], 2);
+    target.push_back(3);  // appends after the copied elements
+    EXPECT_EQ(target[2], 3);
+    EXPECT_EQ(source.size(), 2u);  // the source is untouched
+}
+
+TEST(RingQueue, FifoAcrossTheWrapAndGrowth) {
+    ring_queue<int> q;
+    int next_in = 0;
+    int next_out = 0;
+    // Keep 5 queued while 100 pass through: the head wraps many times.
+    for (int i = 0; i < 100; ++i) {
+        q.push_back(next_in++);
+        if (q.size() > 5) {
+            EXPECT_EQ(q.front(), next_out++);
+            q.pop_front();
+        }
+    }
+    const std::size_t steady = q.capacity();
+    // Grow while the live elements straddle the wrap.
+    for (int i = 0; i < 40; ++i) q.push_back(next_in++);
+    EXPECT_GT(q.capacity(), steady);
+    EXPECT_EQ(q.back(), next_in - 1);
+    for (std::size_t i = 0; i < q.size(); ++i) {
+        EXPECT_EQ(q[i], next_out + static_cast<int>(i));
+    }
+    while (!q.empty()) {
+        EXPECT_EQ(q.front(), next_out++);
+        q.pop_front();
+    }
+    EXPECT_EQ(next_out, next_in);
+}
+
+TEST(RingQueue, InsertKeepsTheOtherElementsInOrder) {
+    ring_queue<int> q;
+    for (int x : {10, 20, 30, 40, 50, 60, 70}) q.push_back(x);
+    q.pop_front();
+    q.pop_front();  // the head is off slot 0
+    q.insert(2, 45);
+    q.insert(0, 25);
+    q.insert(q.size(), 80);
+    const std::vector<int> expected = {25, 30, 40, 45, 50, 60, 70, 80};
+    ASSERT_EQ(q.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(q[i], expected[i]);
+    }
+}
+
+// Once a queue has reached its peak occupancy it never reallocates.
+TEST(RingQueue, SteadyStateReusesItsStorage) {
+    ring_queue<std::vector<int>> q;
+    for (int i = 0; i < 16; ++i) q.push_back({});
+    EXPECT_EQ(q.capacity(), 16u);
+    for (int i = 0; i < 1000; ++i) {
+        q.pop_front();
+        q.push_back(std::vector<int>(3, i));
+    }
+    EXPECT_EQ(q.capacity(), 16u);
+    EXPECT_EQ(q.back(), std::vector<int>(3, 999));
+    q.clear();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.capacity(), 16u);
 }
 
 TEST(Hexdump, FormatsOffsetsHexAndAscii) {
