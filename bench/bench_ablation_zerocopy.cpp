@@ -43,7 +43,7 @@ struct pair_result {
 };
 
 pair_result run(bool zero_copy) {
-    app::transfer_config config;
+    engine::flow_config config;
     config.file_bytes = 15 * 1024;
     config.packet_wire_bytes = 1024;
     config.zero_copy = zero_copy;
@@ -62,7 +62,7 @@ pair_result run(bool zero_copy) {
 // the receive-side cost the zero-copy loan path is meant to cut).
 std::uint64_t measured_client_accesses(app::path_mode mode, bool zero_copy,
                                        std::size_t file_bytes) {
-    app::transfer_config config;
+    engine::flow_config config;
     config.mode = mode;
     config.file_bytes = file_bytes;
     config.zero_copy = zero_copy;

@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
         // SuperSPARC run, exported as a Chrome trace.
         obs::tracer tracer(8192);
         obs::tracer* prev = obs::tracer::install(&tracer);
-        app::transfer_config config;
+        engine::flow_config config;
         config.packet_wire_bytes = 1024;
         memsim::memory_system client(memsim::supersparc_with_l2());
         memsim::memory_system server(memsim::supersparc_with_l2());

@@ -31,7 +31,7 @@ struct run_stats {
 
 template <typename Cipher>
 run_stats run(app::path_mode mode, obs::tracer* tracer = nullptr) {
-    app::transfer_config config;
+    engine::flow_config config;
     config.file_bytes = 15 * 1024;
     config.copies = 730;  // ~10.7 MB, as in the paper
     config.packet_wire_bytes = 1024;

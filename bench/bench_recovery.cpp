@@ -33,17 +33,17 @@ int main(int argc, char** argv) {
     struct regime {
         const char* name;
         bool lossy;
-        void (*apply)(app::transfer_config&);
+        void (*apply)(engine::flow_config&);
     };
     const std::vector<regime> regimes = {
-        {"clean", false, [](app::transfer_config&) {}},
+        {"clean", false, [](engine::flow_config&) {}},
         {"bernoulli_1pct", true,
-         [](app::transfer_config& c) {
+         [](engine::flow_config& c) {
              c.forward_faults.drop_probability = 0.01;
              c.forward_faults.seed = 13;
          }},
         {"gilbert_elliott_burst", true,
-         [](app::transfer_config& c) {
+         [](engine::flow_config& c) {
              c.forward_faults.burst.enabled = true;
              c.forward_faults.burst.p_good_to_bad = 0.05;
              c.forward_faults.burst.p_bad_to_good = 0.25;
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     for (const regime& r : regimes) {
         for (const app::path_mode mode :
              {app::path_mode::ilp, app::path_mode::layered}) {
-            app::transfer_config config;
+            engine::flow_config config;
             config.mode = mode;
             config.file_bytes = 128 * 1024;
             config.packet_wire_bytes = 1024;
@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
     // the two-epoch window).
     for (const app::path_mode mode :
          {app::path_mode::ilp, app::path_mode::layered}) {
-        app::transfer_config config;
+        engine::flow_config config;
         config.mode = mode;
         config.file_bytes = 128 * 1024;
         config.packet_wire_bytes = 1024;

@@ -19,7 +19,7 @@
 int main(int argc, char** argv) {
     using namespace ilp;
 
-    app::transfer_config config;
+    engine::flow_config config;
     config.mode = app::path_mode::ilp;
     if (argc > 1 && std::strcmp(argv[1], "layered") == 0) {
         config.mode = app::path_mode::layered;

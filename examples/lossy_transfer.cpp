@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
 
     const char* scenario = argc > 1 ? argv[1] : "burst";
 
-    app::transfer_config config;
+    engine::flow_config config;
     config.file_bytes = 128 * 1024;
     config.packet_wire_bytes = 1024;
     config.retry.max_attempts = 5;

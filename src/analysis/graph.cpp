@@ -2,14 +2,6 @@
 
 namespace ilp::analysis {
 
-const char* side_name(graph_side s) noexcept {
-    switch (s) {
-        case graph_side::send: return "send";
-        case graph_side::receive: return "receive";
-    }
-    return "?";
-}
-
 namespace {
 
 constexpr std::uint64_t fnv_offset = 14695981039346656037ull;

@@ -35,11 +35,9 @@ struct block_node {
 };
 
 // Which direction of the data path the graph describes.  The side does not
-// change the rules, but it names the graph in diagnostics and keeps send
-// and receive compositions from colliding in the verdict cache.
+// change the rules, but it keeps send and receive compositions from
+// colliding in the verdict cache.
 enum class graph_side : std::uint8_t { send, receive };
-
-const char* side_name(graph_side s) noexcept;
 
 // Dependency edge: data flows from node `from` to node `to`.
 struct graph_edge {

@@ -62,12 +62,4 @@ struct pipeline_model {
     bool header_sizes_known = true;
 };
 
-// Convenience: build the footprint list of a fused_pipeline instantiation.
-// Usage: stages_of<core::fused_pipeline<A, B>>() — but spelled through the
-// pipeline's own shape() to keep stage packs out of caller code.
-template <typename... Stages>
-std::vector<footprint> footprints_of() {
-    return {footprint_of<Stages>()...};
-}
-
 }  // namespace ilp::analysis

@@ -92,9 +92,10 @@ constexpr const char* cipher_label() {
 }
 
 // Builds the stage graph for one flow data path.  `epoch` is the
-// epoch-relevant parameter folded into the graph hash: a rekey produces a
+// epoch-relevant parameter folded into the graph hash: a new epoch gives a
 // new hash, so the gate's verdict cache cannot serve a stale verdict across
-// a key change.
+// a key change.  It feeds no rule, so the verdict itself is the same at
+// every epoch, and the engine gates a flow once, at epoch 0.
 template <typename Cipher>
 analysis::stage_graph flow_graph(const secure_params& params, compose_tap tap,
                                  compose_schedule sched, std::uint64_t epoch) {

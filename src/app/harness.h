@@ -19,38 +19,6 @@
 
 namespace ilp::app {
 
-struct transfer_config {
-    path_mode mode = path_mode::ilp;
-    std::size_t file_bytes = 15 * 1024;
-    std::uint32_t copies = 1;
-    // Target TPDU payload size (the experiments' "packet size" axis); the
-    // reply payload is chosen as the largest that fits.
-    std::size_t packet_wire_bytes = 1024;
-    sim_time link_latency_us = 100;
-    net::fault_config forward_faults{};
-    net::fault_config reverse_faults{};
-    // Faults on the request link (client -> server direction and its ACK
-    // path); clean by default, matching the paper's setup.
-    net::fault_config request_forward_faults{};
-    net::fault_config request_reverse_faults{};
-    // RPC-level retry policy driven by the client.
-    retry_policy retry{};
-    std::uint64_t file_seed = 0x11aa;
-    std::uint64_t key_seed = 0x22bb;
-    sim_time deadline_us = 120'000'000;
-    sim_time poll_step_us = 200;
-    // Zero-copy adapter model (fbufs); see tcp::connection_config.
-    bool zero_copy = false;
-    // Transport security (requires an aead_capable cipher); see
-    // engine::flow_config for the per-field semantics.  flow_secret 0
-    // derives one from key_seed.
-    bool secure = false;
-    std::uint32_t secure_wire_version = rpc::wire_version_secure;
-    std::uint64_t rekey_interval_bytes = 0;
-    std::uint64_t flow_secret = 0;
-    std::uint64_t client_secret_override = 0;
-};
-
 // End-to-end recovery accounting for one transfer, aggregated across both
 // endpoints and both connections.  This is a *view* over the metrics
 // registry (see recovery_from): the registry is the source of truth, the
@@ -116,13 +84,12 @@ struct transfer_result {
 // scheduler-metered sends on the shard's tick cadence.  So its flow
 // outcome equals engine::run_fleet's for the same flow.
 template <memsim::memory_policy Mem, crypto::block_cipher Cipher>
-transfer_result run_transfer(const transfer_config& config,
+transfer_result run_transfer(const engine::flow_config& config,
                              const Mem& client_mem, const Mem& server_mem,
                              const Cipher& client_cipher,
                              const Cipher& server_cipher) {
+    // Link latency and poll cadence are the shard_options defaults.
     engine::shard_options opts;
-    opts.link_latency_us = config.link_latency_us;
-    opts.poll_step_us = config.poll_step_us;
     // The kernel queue bound belongs to the pipe; every other part of a
     // fault plan is the flow's own.
     opts.request_forward_faults.max_queue_packets =
@@ -135,26 +102,9 @@ transfer_result run_transfer(const transfer_config& config,
         config.reverse_faults.max_queue_packets;
     engine::shard<Mem, Cipher> shard(0, opts, client_mem, server_mem);
 
-    engine::flow_config fc;
-    fc.mode = config.mode;
-    fc.file_bytes = config.file_bytes;
-    fc.copies = config.copies;
-    fc.packet_wire_bytes = config.packet_wire_bytes;
-    fc.retry = config.retry;
-    fc.file_seed = config.file_seed;
-    fc.deadline_us = config.deadline_us;
-    fc.zero_copy = config.zero_copy;
-    fc.forward_faults = config.forward_faults;
-    fc.reverse_faults = config.reverse_faults;
-    fc.request_forward_faults = config.request_forward_faults;
-    fc.request_reverse_faults = config.request_reverse_faults;
-    fc.secure = config.secure;
-    fc.secure_wire_version = config.secure_wire_version;
-    fc.rekey_interval_bytes = config.rekey_interval_bytes;
-    fc.flow_secret = config.flow_secret;
-    fc.client_secret_override = config.client_secret_override;
+    engine::flow_config fc = config;
     if (fc.secure && fc.flow_secret == 0) {
-        fc.flow_secret = derive_seed(config.key_seed, 0x5ec00000ull);
+        fc.flow_secret = derive_seed(engine::default_key_seed, 0x5ec00000ull);
     }
 
     transfer_result result;
@@ -217,8 +167,9 @@ transfer_result run_transfer(const transfer_config& config,
 
 // Convenience for native runs: both sides use raw memory.
 template <crypto::block_cipher Cipher>
-transfer_result run_transfer_native(const transfer_config& config) {
-    const Cipher cipher = engine::make_static_cipher<Cipher>(config.key_seed);
+transfer_result run_transfer_native(const engine::flow_config& config) {
+    const Cipher cipher =
+        engine::make_static_cipher<Cipher>(engine::default_key_seed);
     return run_transfer(config, memsim::direct_memory{},
                         memsim::direct_memory{}, cipher, cipher);
 }
@@ -227,10 +178,11 @@ transfer_result run_transfer_native(const transfer_config& config) {
 // accesses into their own memory system (send side vs. receive side, as the
 // paper's §4.2 analysis separates them).
 template <crypto::block_cipher Cipher>
-transfer_result run_transfer_simulated(const transfer_config& config,
+transfer_result run_transfer_simulated(const engine::flow_config& config,
                                        memsim::memory_system& client_sys,
                                        memsim::memory_system& server_sys) {
-    const Cipher cipher = engine::make_static_cipher<Cipher>(config.key_seed);
+    const Cipher cipher =
+        engine::make_static_cipher<Cipher>(engine::default_key_seed);
     return run_transfer(config, memsim::sim_memory(client_sys),
                         memsim::sim_memory(server_sys), cipher, cipher);
 }

@@ -68,7 +68,6 @@ public:
     // (commits are strictly FIFO, matching the in-order completion stage).
     ring_span reserve_tail(std::size_t n);
     void commit_tail(std::size_t n);
-    std::size_t tail_reserved() const noexcept { return tail_reserved_; }
 
     // Copies `data` into the ring (reserve_tail + memcpy + commit_tail).
     void push(std::span<const std::byte> data);

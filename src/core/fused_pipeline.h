@@ -10,7 +10,7 @@
 //
 // The loop has two shapes, chosen by the memory policy:
 //
-//  * Under `sim_memory` and `trace_memory` it is the paper's loop exactly:
+//  * Under `sim_memory` it is the paper's loop exactly:
 //    each iteration fills one Le-byte unit, runs every stage on it sub-unit
 //    by sub-unit, and drains it.  The figure reproductions and the memsim
 //    access counts measure this loop.

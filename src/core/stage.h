@@ -2,7 +2,7 @@
 //
 // A *stage* is one protocol layer's per-unit data manipulation, stripped of
 // its control processing (the paper's three-stage decomposition puts control
-// before/after the loop; see three_stage.h).  A stage declares:
+// before/after the loop; see tcp_receiver::input_staged).  A stage declares:
 //
 //   * unit_bytes             — its natural processing-unit size (XDR: 4,
 //                              block ciphers: 8, Internet checksum: 2),

@@ -33,6 +33,9 @@
 
 namespace ilp::engine {
 
+// The fleet's default key seed, and the only one app::run_transfer uses.
+inline constexpr std::uint64_t default_key_seed = 0x22bb;
+
 struct fleet_config {
     std::uint32_t flows = 1;
     std::uint32_t shards = 1;
@@ -43,7 +46,7 @@ struct fleet_config {
     std::size_t drr_quantum_bytes = 4096;
     sim_time poll_step_us = 200;
     sim_time link_latency_us = 100;
-    std::uint64_t key_seed = 0x22bb;
+    std::uint64_t key_seed = default_key_seed;
     // Shared kernel-queue bound per pipe direction (0 = unbounded) and the
     // per-flow fair-share cap inside it.
     std::size_t kernel_queue_packets = 0;

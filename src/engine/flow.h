@@ -24,13 +24,15 @@
 
 namespace ilp::engine {
 
-// The per-flow knobs of app::transfer_config (run_transfer copies them in,
-// fault plans included); link latency, poll cadence and the shared queue
-// bound live in the shard/fleet options instead.
+// The per-flow knobs, fault plans included; app::run_transfer takes one
+// directly.  Link latency, poll cadence and the shared queue bound live in
+// the shard/fleet options instead.
 struct flow_config {
     app::path_mode mode = app::path_mode::ilp;
     std::size_t file_bytes = 15 * 1024;
     std::uint32_t copies = 1;
+    // Target TPDU payload size (the experiments' "packet size" axis); the
+    // reply payload is chosen as the largest that fits.
     std::size_t packet_wire_bytes = 1024;
     app::retry_policy retry{};
     std::uint64_t file_seed = 0x11aa;

@@ -175,7 +175,9 @@ public:
         // graphs (send and receive side) must be verified legal before any
         // fused loop runs.  A verified-illegal graph — e.g. a crc32 tap on
         // the B,C,A send schedule — demotes the flow to the layered path
-        // deterministically; the demotion is counted, never silent.
+        // deterministically; the demotion is counted, never silent.  The
+        // verdict depends only on (cipher, framing, tap), never on the key
+        // epoch, so this one check at setup covers every rekey.
         app::path_mode mode = cfg.mode;
         if (mode == app::path_mode::ilp) {
             const analysis::verdict& tx = gate_.check(
@@ -353,7 +355,6 @@ private:
         sim_time started_at = 0;
         sched_state sched;
         std::uint64_t serviced_bytes = 0;
-        std::uint64_t seen_rekeys = 0;  // last epoch the gate re-verified at
         // Last counter values the flight recorder turned into events, so
         // each service visit records only the transitions since the last.
         std::uint64_t fr_retransmissions = 0;
@@ -438,24 +439,7 @@ private:
         ILP_ENSURE(ok);  // freshly allocated ports cannot conflict
     }
 
-    // Re-verify the composed send graph whenever the server advances its key
-    // epoch: the verdict cache is keyed by a hash that folds in the epoch
-    // parameter, so a rekey is exactly the event that invalidates the cached
-    // entry.  The graph *shape* is epoch-invariant, so a flow the gate
-    // admitted at setup must stay legal across rekeys — a flipped verdict
-    // here would be a gate bug, hence the hard contract.
-    void regate_on_rekey(flow_entry& e) {
-        if (!e.cfg.secure || e.cfg.mode != app::path_mode::ilp) return;
-        const std::uint64_t rekeys = e.server->secure_stats().rekeys;
-        if (rekeys == e.seen_rekeys) return;
-        e.seen_rekeys = rekeys;
-        const analysis::verdict& v = gate_.check(app::flow_send_graph<Cipher>(
-            secure_params_for(e.cfg), e.cfg.tap, rekeys));
-        ILP_ENSURE(v.legal);
-    }
-
     void service(flow_entry& e) {
-        regate_on_rekey(e);
         if (e.cfg.pipeline_depth > 0 && e.cfg.mode == app::path_mode::ilp &&
             pipeline_.has_value()) {
             service_pipelined(e);

@@ -84,7 +84,6 @@ public:
     // size.  Pass nullptr to detach.  The map is the word-touch auditor's
     // data source and is not owned by the memory system.
     void set_touch_map(touch_map* map) noexcept { touch_map_ = map; }
-    touch_map* attached_touch_map() const noexcept { return touch_map_; }
 
 private:
     // Charges the levels below L1 for one missing line; returns cycles.

@@ -78,12 +78,6 @@ public:
         return npos;
     }
 
-    void reset_counts() noexcept {
-        for (range& r : ranges_) {
-            for (counts& c : r.counters) c = counts{};
-        }
-    }
-
 private:
     struct range {
         std::string label;

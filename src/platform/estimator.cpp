@@ -116,14 +116,14 @@ icache_result replay_instruction_stream(const machine_model& machine,
 }
 
 template <typename Cipher>
-app::transfer_result run_with_cipher(const app::transfer_config& config,
+app::transfer_result run_with_cipher(const engine::flow_config& config,
                                      memsim::memory_system& client_sys,
                                      memsim::memory_system& server_sys) {
     return app::run_transfer_simulated<Cipher>(config, client_sys, server_sys);
 }
 
 app::transfer_result run_dispatch(cipher_kind cipher,
-                                  const app::transfer_config& config,
+                                  const engine::flow_config& config,
                                   memsim::memory_system& client_sys,
                                   memsim::memory_system& server_sys) {
     switch (cipher) {
@@ -215,8 +215,8 @@ double processing_us_per_packet(const machine_model& machine,
 
 experiment_result run_experiment(const machine_model& machine, impl_kind impl,
                                  cipher_kind cipher,
-                                 const app::transfer_config& base_config) {
-    app::transfer_config config = base_config;
+                                 const engine::flow_config& base_config) {
+    engine::flow_config config = base_config;
     config.mode = impl == impl_kind::ilp ? app::path_mode::ilp
                                          : app::path_mode::layered;
 
@@ -300,7 +300,7 @@ icache_replay_result replay_icache(const machine_model& machine,
 experiment_result run_standard_experiment(const machine_model& machine,
                                           impl_kind impl, cipher_kind cipher,
                                           std::size_t packet_wire_bytes) {
-    app::transfer_config config;
+    engine::flow_config config;
     config.file_bytes = 15 * 1024;
     config.packet_wire_bytes = packet_wire_bytes;
     return run_experiment(machine, impl, cipher, config);

@@ -79,7 +79,7 @@ double processing_us_per_packet(const machine_model& machine,
 // synthetic instruction-stream replay, and the timing model.
 experiment_result run_experiment(const machine_model& machine, impl_kind impl,
                                  cipher_kind cipher,
-                                 const app::transfer_config& base_config);
+                                 const engine::flow_config& base_config);
 
 // Convenience: the paper's standard workload (15 KB file) at a given packet
 // size.

@@ -15,7 +15,8 @@
 // accepts a payload filler (the application's ILP or layered send path) and
 // tcp_receiver hands the payload to a message processor (the application's
 // receive path) between the initial and final processing stages — the
-// three-stage decomposition of core/three_stage.h.
+// paper's three-stage decomposition (§2.1), written out in
+// tcp_receiver::input_staged.
 //
 // Everything is templated on the memory-access policy, so the same engine
 // runs natively (direct_memory) for wall-clock benchmarks and instrumented

@@ -6,16 +6,14 @@
 // service), warms it up, and then counts heap allocations while the shard
 // delivers at least `window_packets` reply packets.  In steady state the
 // data path — pipes, demux, TCP, RPC framing, the fused loop, the
-// scheduler and the clock — must not allocate at all.
-//
-// A rekey still allocates: the shard re-verifies the flow's composed send
-// graph, and building that graph allocates its stage names and node
-// lists.  So the warm-up runs until every flow has rekeyed once, and the
-// counted window lies between that rekey and the next (checked).
+// scheduler and the clock — must not allocate at all.  A second case
+// counts across a rekey of every flow: neither the rekey nor the client's
+// adoption of the new epoch may allocate.
 //
 // It is its own executable because replacing operator new is process-wide.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstddef>
@@ -129,11 +127,16 @@ std::uint64_t rekeys(native_shard& s) {
     return n;
 }
 
-TEST(AllocationGate, SmallSecureSteadyStateDoesNotAllocate) {
-    engine::shard_options opts;
-    opts.policy = engine::sched_policy::deficit_round_robin;
-    const memsim::direct_memory mem;
-    native_shard s(0, opts, mem, mem);
+// The fewest new epochs any one flow's client has adopted.
+std::uint64_t fewest_adoptions(native_shard& s) {
+    std::uint64_t n = UINT64_MAX;
+    for (std::uint32_t f = 0; f < flows; ++f) {
+        n = std::min(n, s.client(f).secure_stats().epoch_adoptions);
+    }
+    return n;
+}
+
+void open_flows(native_shard& s) {
     for (std::uint32_t f = 0; f < flows; ++f) {
         std::array<std::byte, cipher::key_bytes> key{};
         rng key_rng(derive_seed(3, f));
@@ -141,9 +144,20 @@ TEST(AllocationGate, SmallSecureSteadyStateDoesNotAllocate) {
         const cipher c{std::span<const std::byte>(key)};
         ASSERT_TRUE(s.open_flow(f, small_secure_flow(f), c, c));
     }
+}
 
-    // Warm up past the first rekey of every flow, and one tick more so the
-    // shard has re-verified each flow's graph at its new epoch.
+engine::shard_options drr_options() {
+    engine::shard_options opts;
+    opts.policy = engine::sched_policy::deficit_round_robin;
+    return opts;
+}
+
+TEST(AllocationGate, SmallSecureSteadyStateDoesNotAllocate) {
+    const memsim::direct_memory mem;
+    native_shard s(0, drr_options(), mem, mem);
+    ASSERT_NO_FATAL_FAILURE(open_flows(s));
+
+    // Warm up past the first rekey of every flow, and one tick more.
     while (s.active_flows() == flows && rekeys(s) < flows) s.tick();
     s.tick();
     ASSERT_EQ(s.active_flows(), flows) << "warm-up outlasted a flow";
@@ -164,6 +178,48 @@ TEST(AllocationGate, SmallSecureSteadyStateDoesNotAllocate) {
     ASSERT_GE(delivered, window_packets);
     EXPECT_EQ(allocations.load(), 0u)
         << "heap allocations over " << delivered << " delivered packets";
+
+    s.run();
+    for (std::uint32_t f = 0; f < flows; ++f) {
+        EXPECT_TRUE(s.outcome(f).completed) << "flow " << f;
+        EXPECT_TRUE(s.outcome(f).verified) << "flow " << f;
+    }
+}
+
+// The legality gate checks a flow once, at setup, so a rekey allocates
+// nothing.  The window holds every flow's second rekey, its client's
+// adoption of that epoch and one more service visit of every flow.  It
+// opens after each client's first adoption, which adds the client's
+// `crypto.epoch_adoptions` counter to its registry.
+TEST(AllocationGate, RekeysDoNotAllocate) {
+    const memsim::direct_memory mem;
+    native_shard s(0, drr_options(), mem, mem);
+    ASSERT_NO_FATAL_FAILURE(open_flows(s));
+
+    while (s.active_flows() == flows && fewest_adoptions(s) < 1) s.tick();
+    ASSERT_EQ(s.active_flows(), flows) << "warm-up outlasted a flow";
+
+    std::array<std::uint64_t, flows> rekeys_before{};
+    for (std::uint32_t f = 0; f < flows; ++f) {
+        rekeys_before[f] = s.server(f).secure_stats().rekeys;
+    }
+    const std::uint64_t total_before = rekeys(s);
+    const std::uint64_t first = reply_packets_delivered(s);
+    allocations.store(0);
+    counting.store(true);
+    while (s.active_flows() == flows && fewest_adoptions(s) < 2) s.tick();
+    s.tick();
+    counting.store(false);
+    const std::uint64_t delivered = reply_packets_delivered(s) - first;
+
+    ASSERT_EQ(s.active_flows(), flows) << "the window outlasted a flow";
+    for (std::uint32_t f = 0; f < flows; ++f) {
+        ASSERT_GT(s.server(f).secure_stats().rekeys, rekeys_before[f])
+            << "flow " << f << " did not rekey in the window";
+    }
+    EXPECT_EQ(allocations.load(), 0u)
+        << "heap allocations over " << rekeys(s) - total_before
+        << " rekeys and " << delivered << " delivered packets";
 
     s.run();
     for (std::uint32_t f = 0; f < flows; ++f) {

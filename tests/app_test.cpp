@@ -18,7 +18,7 @@ using crypto::safer_simplified;
 using crypto::simple_cipher;
 
 TEST(FileTransfer, IlpModeDeliversFileIntact) {
-    transfer_config config;
+    engine::flow_config config;
     config.mode = path_mode::ilp;
     const transfer_result result =
         run_transfer_native<safer_simplified>(config);
@@ -30,7 +30,7 @@ TEST(FileTransfer, IlpModeDeliversFileIntact) {
 }
 
 TEST(FileTransfer, LayeredModeDeliversFileIntact) {
-    transfer_config config;
+    engine::flow_config config;
     config.mode = path_mode::layered;
     const transfer_result result =
         run_transfer_native<safer_simplified>(config);
@@ -46,7 +46,7 @@ TEST_P(FileTransferPacketSizes, BothModesCompleteAndAgree) {
     // Property sweep over the paper's packet-size axis: both implementations
     // must deliver identical, correct data at every size.
     for (const path_mode mode : {path_mode::ilp, path_mode::layered}) {
-        transfer_config config;
+        engine::flow_config config;
         config.mode = mode;
         config.packet_wire_bytes = GetParam();
         config.file_bytes = 6 * 1024;
@@ -62,7 +62,7 @@ INSTANTIATE_TEST_SUITE_P(PaperSizes, FileTransferPacketSizes,
                          ::testing::Values(256, 512, 768, 1024, 1280));
 
 TEST(FileTransfer, AllCiphersWork) {
-    transfer_config config;
+    engine::flow_config config;
     config.file_bytes = 4 * 1024;
     {
         const auto r = run_transfer_native<safer_simplified>(config);
@@ -79,7 +79,7 @@ TEST(FileTransfer, AllCiphersWork) {
 }
 
 TEST(FileTransfer, MultipleCopies) {
-    transfer_config config;
+    engine::flow_config config;
     config.copies = 3;
     config.file_bytes = 2048;
     const transfer_result result =
@@ -90,7 +90,7 @@ TEST(FileTransfer, MultipleCopies) {
 }
 
 TEST(FileTransfer, EmptyFile) {
-    transfer_config config;
+    engine::flow_config config;
     config.file_bytes = 0;
     const transfer_result result =
         run_transfer_native<safer_simplified>(config);
@@ -102,7 +102,7 @@ TEST(FileTransfer, EmptyFile) {
 
 TEST(FileTransfer, OneBytePayloadPackets) {
     // Degenerate but legal: smallest wire budget that still carries data.
-    transfer_config config;
+    engine::flow_config config;
     config.file_bytes = 64;
     config.packet_wire_bytes = 40;  // 28 header bytes + a few payload bytes
     const transfer_result result =
@@ -112,7 +112,7 @@ TEST(FileTransfer, OneBytePayloadPackets) {
 }
 
 TEST(FileTransfer, SurvivesLossyLink) {
-    transfer_config config;
+    engine::flow_config config;
     config.forward_faults.drop_probability = 0.1;
     config.forward_faults.corrupt_probability = 0.05;
     config.forward_faults.seed = 3;
@@ -128,7 +128,7 @@ TEST(FileTransfer, SurvivesLossyLink) {
 }
 
 TEST(FileTransfer, CorruptionNeverReachesTheApplication) {
-    transfer_config config;
+    engine::flow_config config;
     config.forward_faults.corrupt_probability = 0.25;
     config.forward_faults.seed = 17;
     config.file_bytes = 8 * 1024;
@@ -144,7 +144,7 @@ TEST(FileTransfer, CorruptionNeverReachesTheApplication) {
 }
 
 template <crypto::block_cipher Cipher>
-void expect_identical_wire_traffic(transfer_config config) {
+void expect_identical_wire_traffic(engine::flow_config config) {
     config.mode = path_mode::ilp;
     const auto ilp = run_transfer_native<Cipher>(config);
     config.mode = path_mode::layered;
@@ -163,7 +163,7 @@ TEST(FileTransfer, IlpAndLayeredProduceIdenticalWireTraffic) {
     // cross-mode transfer (ILP sender, layered receiver and vice versa)
     // works too.  run_transfer uses one mode end-to-end, so compare both
     // directions via wire byte counts and message counts instead.
-    transfer_config config;
+    engine::flow_config config;
     config.file_bytes = 4096;
     expect_identical_wire_traffic<safer_simplified>(config);
     // Secure wire v3 with rekeying: trailers and key-window advances are
@@ -176,7 +176,7 @@ TEST(FileTransfer, IlpAndLayeredProduceIdenticalWireTraffic) {
 TEST(FileTransfer, IlpReducesSimulatedMemoryAccessesBothSides) {
     // The paper's Figure 13 effect at full-application scale: ILP performs
     // fewer memory accesses on the sending AND the receiving side.
-    transfer_config config;
+    engine::flow_config config;
     config.file_bytes = 15 * 1024;
 
     memsim::memory_system ilp_client(memsim::supersparc_with_l2());
@@ -211,7 +211,7 @@ TEST(FileTransfer, IlpReducesSimulatedMemoryAccessesBothSides) {
 TEST(FileTransfer, SimulatedAndNativeRunsAgreeOnProtocolBehaviour) {
     // The memory policy must not change observable behaviour: same message
     // counts, same delivered bytes.
-    transfer_config config;
+    engine::flow_config config;
     config.file_bytes = 4096;
     const auto native = run_transfer_native<safer_simplified>(config);
     memsim::memory_system client_sys(memsim::test_tiny());
@@ -229,7 +229,7 @@ TEST(FileTransfer, ZeroCopyAdapterDeliversAndCutsTraffic) {
     // fbufs-style adapter (paper refs [12]-[15]): the transfer still works,
     // and the counted memory traffic drops by the system copies on both
     // sides.
-    transfer_config config;
+    engine::flow_config config;
     config.file_bytes = 8 * 1024;
 
     memsim::memory_system copy_client(memsim::supersparc_with_l2());
@@ -255,7 +255,7 @@ TEST(FileTransfer, ZeroCopyAdapterDeliversAndCutsTraffic) {
 TEST(FileTransfer, PassStructureMatchesPaperFigures) {
     // Fig. 3/5 pass inventory: the layered path must show the standalone
     // passes, the ILP path must fold them into the fused loop.
-    transfer_config config;
+    engine::flow_config config;
     config.file_bytes = 2048;
 
     config.mode = path_mode::ilp;
@@ -395,7 +395,7 @@ void expect_counters(const path_counters& got, const path_counters& want,
 
 TEST(FileTransfer, PathCountersArePinnedForEveryFramingAndMode) {
     for (const counter_pin& pin : counter_pins) {
-        transfer_config config;
+        engine::flow_config config;
         config.file_bytes = 4096;
         config.packet_wire_bytes = 512;
         config.mode = pin.mode;

@@ -1,13 +1,12 @@
 // Unit and property tests for the checksum module: RFC 1071 Internet
 // checksum (all unit widths, parity handling, register entry points),
-// CRC-32 and Adler-32 with published vectors.
+// CRC-32 with published vectors.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
 #include "buffer/byte_buffer.h"
-#include "checksum/adler32.h"
 #include "checksum/crc32.h"
 #include "checksum/internet_checksum.h"
 #include "memsim/configs.h"
@@ -204,37 +203,6 @@ TEST(Crc32, SimulatedRunCountsTableReads) {
     // One data byte read + one 4-byte table read per input byte.
     EXPECT_EQ(sys.data_stats().reads.accesses[memsim::size_bucket(1)], 100u);
     EXPECT_EQ(sys.data_stats().reads.accesses[memsim::size_bucket(4)], 100u);
-}
-
-TEST(Adler32, PublishedVector) {
-    // Adler-32 of "Wikipedia" is 0x11E60398.
-    EXPECT_EQ(adler32_of(as_bytes("Wikipedia")), 0x11e60398u);
-}
-
-TEST(Adler32, EmptyIsOne) { EXPECT_EQ(adler32_of({}), 1u); }
-
-TEST(Adler32, LargeInputModuloCorrectness) {
-    // Exercise the deferred-modulo blocking with > 5552 bytes of 0xff.
-    std::vector<std::byte> data(20'000, std::byte{0xff});
-    adler32 sum;
-    sum.update(data);
-    // Reference computed with the naive definition.
-    std::uint32_t a = 1, b = 0;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        a = (a + 0xff) % 65521;
-        b = (b + a) % 65521;
-    }
-    EXPECT_EQ(sum.value(), (b << 16) | a);
-}
-
-TEST(Adler32, OrderDependence) {
-    const auto data = as_bytes("abcdefgh");
-    adler32 forward;
-    forward.update(data);
-    adler32 swapped;
-    swapped.update(data.subspan(4));
-    swapped.update(data.subspan(0, 4));
-    EXPECT_NE(forward.value(), swapped.value());
 }
 
 }  // namespace

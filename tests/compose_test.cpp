@@ -3,7 +3,10 @@
 // verdict-caching gate, and the full `--compose` sweep the CI job runs.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "analysis/compose.h"
@@ -248,6 +251,67 @@ TEST(FlowGraphs, EngineBuildersMatchTheGateContract) {
                                                 app::compose_tap::none, 0));
     EXPECT_FALSE(unfilled.legal);
     EXPECT_EQ(unfilled.rule, "R2-header-size");
+}
+
+// The key epoch feeds only the graph hash, never the rules, so a verdict
+// the gate gives a flow at setup holds at every later epoch.  Checked on
+// every flow graph the compose sweep builds: cipher x v2/v3 x schedule x
+// tap.
+template <typename Cipher>
+void expect_verdicts_epoch_invariant(std::size_t& graphs) {
+    constexpr std::array<std::uint64_t, 3> epochs = {0, 1,
+                                                     (1ull << 32) + 1};
+    for (const bool v3 : {false, true}) {
+        app::secure_params params;
+        params.enabled = v3;
+        params.flow_secret = 0x5ec0u;
+        for (const app::compose_schedule sched :
+             {app::compose_schedule::send_bca,
+              app::compose_schedule::send_linear,
+              app::compose_schedule::receive}) {
+            for (const app::compose_tap tap :
+                 {app::compose_tap::none, app::compose_tap::inet2,
+                  app::compose_tap::crc32}) {
+                ++graphs;
+                const analysis::verdict base = analysis::compose_and_check(
+                    app::flow_graph<Cipher>(params, tap, sched, epochs[0]));
+                for (std::size_t i = 1; i < epochs.size(); ++i) {
+                    const analysis::stage_graph g =
+                        app::flow_graph<Cipher>(params, tap, sched, epochs[i]);
+                    const analysis::verdict v = analysis::compose_and_check(g);
+                    SCOPED_TRACE(g.name + " @ epoch " +
+                                 std::to_string(epochs[i]));
+                    EXPECT_EQ(v.legal, base.legal);
+                    EXPECT_EQ(v.rule, base.rule);
+                    EXPECT_EQ(v.offender, base.offender);
+                    EXPECT_NE(v.hash, base.hash);
+                    ASSERT_EQ(v.findings.size(), base.findings.size());
+                    for (std::size_t k = 0; k < v.findings.size(); ++k) {
+                        const analysis::finding& a = v.findings[k];
+                        const analysis::finding& b = base.findings[k];
+                        EXPECT_EQ(a.sev, b.sev);
+                        EXPECT_STREQ(a.rule, b.rule);
+                        EXPECT_EQ(a.site, b.site);
+                        EXPECT_EQ(a.pipeline, b.pipeline);
+                        EXPECT_EQ(a.message, b.message);
+                        EXPECT_EQ(a.stage, b.stage);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(FlowGraphs, VerdictIsTheSameAtEveryEpoch) {
+    std::size_t graphs = 0;
+    expect_verdicts_epoch_invariant<crypto::null_cipher>(graphs);
+    expect_verdicts_epoch_invariant<crypto::simple_cipher>(graphs);
+    expect_verdicts_epoch_invariant<crypto::safer_simplified>(graphs);
+    expect_verdicts_epoch_invariant<crypto::safer_k64>(graphs);
+    expect_verdicts_epoch_invariant<crypto::des>(graphs);
+    expect_verdicts_epoch_invariant<crypto::aead_cipher>(graphs);
+    expect_verdicts_epoch_invariant<crypto::rc4>(graphs);
+    EXPECT_EQ(graphs, 7u * 2 * 3 * 3);
 }
 
 TEST(ComposeSweep, CoversTheSpaceWithZeroMiscomputations) {

@@ -14,7 +14,6 @@
 #include "core/layered_path.h"
 #include "core/message_plan.h"
 #include "core/stage.h"
-#include "core/three_stage.h"
 #include "core/word_filter.h"
 #include "crypto/safer_simplified.h"
 #include "crypto/simple_cipher.h"
@@ -489,41 +488,6 @@ TEST(WordFilter, WordHandoffDoublesStores) {
     EXPECT_EQ(std::memcmp(filter_out.data(), fused_out.data(), n), 0);
     EXPECT_EQ(filter_stores, n / 4);  // one store per word
     EXPECT_EQ(fused_stores, n / 8);   // one store per Le unit
-}
-
-// ---------------------------------------------------------------------------
-// three-stage model
-
-TEST(ThreeStage, InitialRejectionSkipsLoopAndFinal) {
-    bool loop_ran = false;
-    bool final_ran = false;
-    const auto verdict = run_three_stage(
-        [] { return std::optional<int>(); },  // demux failure
-        [&](int) {
-            loop_ran = true;
-            return 0;
-        },
-        [&](int, int) {
-            final_ran = true;
-            return final_verdict::accept;
-        });
-    EXPECT_FALSE(verdict.has_value());
-    EXPECT_FALSE(loop_ran);
-    EXPECT_FALSE(final_ran);
-}
-
-TEST(ThreeStage, FinalStageSeesLoopResult) {
-    const auto verdict = run_three_stage(
-        [] { return std::optional<int>(7); },
-        [](int plan) { return plan * 6; },
-        [](int plan, int result) {
-            EXPECT_EQ(plan, 7);
-            EXPECT_EQ(result, 42);
-            return result == 42 ? final_verdict::accept
-                                : final_verdict::reject;
-        });
-    ASSERT_TRUE(verdict.has_value());
-    EXPECT_EQ(*verdict, final_verdict::accept);
 }
 
 }  // namespace

@@ -105,20 +105,11 @@ TEST(EngineShard, CloseFlowRecordsPartialOutcomeAndFreesResources) {
 // run_transfer result.
 template <crypto::block_cipher Cipher>
 app::transfer_result expect_transfer_matches_fleet(
-    const app::transfer_config& t, const char* name) {
+    const flow_config& t, const char* name) {
     const app::transfer_result r = app::run_transfer_native<Cipher>(t);
 
     fleet_config cfg;
-    cfg.key_seed = t.key_seed;
-    flow_config& fc = cfg.defaults;
-    fc.mode = t.mode;
-    fc.file_bytes = t.file_bytes;
-    fc.packet_wire_bytes = t.packet_wire_bytes;
-    fc.file_seed = t.file_seed;
-    fc.zero_copy = t.zero_copy;
-    fc.forward_faults = t.forward_faults;
-    fc.secure = t.secure;
-    fc.rekey_interval_bytes = t.rekey_interval_bytes;
+    cfg.defaults = t;
     const fleet_report fleet = run_fleet_native<Cipher>(cfg);
     EXPECT_EQ(fleet.flows.size(), 1u) << name;
     const flow_outcome& o = fleet.flows.at(0);
@@ -136,11 +127,11 @@ app::transfer_result expect_transfer_matches_fleet(
 }
 
 TEST(EngineSingleFlow, RunTransferMatchesAOneFlowFleet) {
-    app::transfer_config t;
+    flow_config t;
     t.file_bytes = 16 * 1024;
     expect_transfer_matches_fleet<cipher>(t, "clean");
 
-    app::transfer_config lossy = t;
+    flow_config lossy = t;
     lossy.forward_faults.drop_probability = 0.05;
     lossy.forward_faults.corrupt_probability = 0.05;
     lossy.forward_faults.seed = 5;
@@ -149,14 +140,14 @@ TEST(EngineSingleFlow, RunTransferMatchesAOneFlowFleet) {
     EXPECT_GT(fired.reply_pipe.packets_dropped, 0u);
     EXPECT_GT(fired.reply_pipe.packets_corrupted, 0u);
 
-    app::transfer_config secure = t;
+    flow_config secure = t;
     secure.secure = true;
     secure.rekey_interval_bytes = 4096;
     const auto rekeyed = expect_transfer_matches_fleet<crypto::aead_cipher>(
         secure, "secure v3");
     EXPECT_GT(rekeyed.metrics.counter("crypto.rekeys"), 0u);
 
-    app::transfer_config zero_copy = t;
+    flow_config zero_copy = t;
     zero_copy.zero_copy = true;
     expect_transfer_matches_fleet<cipher>(zero_copy, "zero-copy");
 }

@@ -35,7 +35,7 @@ TEST_P(FaultMatrix, TransferSurvivesOrFailsLoudly) {
     const auto& [scenario_index, mode] = GetParam();
     const fault_scenario& s = scenarios[scenario_index];
 
-    transfer_config config;
+    engine::flow_config config;
     config.mode = mode;
     config.file_bytes = 10 * 1024;
     config.packet_wire_bytes = 512;
@@ -70,7 +70,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Integration, BackToBackTransfersOnFreshHarnesses) {
     // Determinism at system scale: the same configuration always produces
     // the same message counts, virtual-time trace and statistics.
-    transfer_config config;
+    engine::flow_config config;
     config.file_bytes = 4096;
     config.forward_faults.drop_probability = 0.1;
     config.forward_faults.seed = 7;
@@ -84,7 +84,7 @@ TEST(Integration, BackToBackTransfersOnFreshHarnesses) {
 }
 
 TEST(Integration, ZeroCopyAndFaultsCompose) {
-    transfer_config config;
+    engine::flow_config config;
     config.zero_copy = true;
     config.file_bytes = 6 * 1024;
     config.forward_faults.drop_probability = 0.1;
@@ -100,7 +100,7 @@ TEST(Integration, ZeroCopyAndFaultsCompose) {
 }
 
 TEST(Integration, LargeTransferManyPackets) {
-    transfer_config config;
+    engine::flow_config config;
     config.file_bytes = 256 * 1024;  // 257 packets at 1 KB
     config.deadline_us = 600'000'000;
     const auto result = run_transfer_native<crypto::simple_cipher>(config);
@@ -111,7 +111,7 @@ TEST(Integration, LargeTransferManyPackets) {
 
 TEST(Integration, SimulatorDeterminism) {
     // Two identical simulated runs produce bit-identical access statistics.
-    transfer_config config;
+    engine::flow_config config;
     config.file_bytes = 4096;
     memsim::memory_system c1(memsim::supersparc_with_l2());
     memsim::memory_system s1(memsim::supersparc_with_l2());

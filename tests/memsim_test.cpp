@@ -1,10 +1,9 @@
 // Unit tests for the memory-system simulator: cache model, hierarchy,
-// access policies, machine configs and the instruction-footprint model.
+// access policies and machine configs.
 #include <gtest/gtest.h>
 
 #include "buffer/byte_buffer.h"
 #include "memsim/cache.h"
-#include "memsim/code_layout.h"
 #include "memsim/configs.h"
 #include "memsim/mem_policy.h"
 #include "memsim/memory_system.h"
@@ -222,55 +221,6 @@ TEST(Configs, AlphaHasSmallDirectMappedCaches) {
     EXPECT_EQ(cfg.l1i.size_bytes, 8u * 1024);
     EXPECT_EQ(cfg.l1d.size_bytes, 8u * 1024);
     EXPECT_EQ(cfg.l1i.associativity, 1u);
-}
-
-TEST(CodeLayout, AssignsDisjointRegions) {
-    code_layout layout;
-    const code_region& f = layout.add("marshal", 128, 256);
-    const code_region& g = layout.add("encrypt", 64, 512);
-    EXPECT_GE(g.entry_base, f.loop_base + f.loop_bytes);
-    EXPECT_EQ(layout.footprint(), 128u + 256 + 64 + 512);
-    EXPECT_NE(layout.find("marshal"), nullptr);
-    EXPECT_EQ(layout.find("absent"), nullptr);
-}
-
-TEST(CodeLayout, FusedLoopThrashesSmallIcacheMoreThanSeparateLoops) {
-    // The Alpha effect (§4.2): alternating per-unit between several loop
-    // bodies whose combined footprint exceeds the I-cache misses more than
-    // running each loop to completion over the message.
-    code_layout layout;
-    // Three stages, 3.5 KB of loop code each: combined ~10.5 KB > 8 KB L1I.
-    const code_region& s1 = layout.add("stage1", 0, 3584);
-    const code_region& s2 = layout.add("stage2", 0, 3584);
-    const code_region& s3 = layout.add("stage3", 0, 3584);
-
-    const auto run_fused = [&](memory_system& sys, int units) {
-        for (int u = 0; u < units; ++u) {
-            fetch_loop_iteration(sys, s1);
-            fetch_loop_iteration(sys, s2);
-            fetch_loop_iteration(sys, s3);
-        }
-    };
-    const auto run_layered = [&](memory_system& sys, int units) {
-        for (int u = 0; u < units; ++u) fetch_loop_iteration(sys, s1);
-        for (int u = 0; u < units; ++u) fetch_loop_iteration(sys, s2);
-        for (int u = 0; u < units; ++u) fetch_loop_iteration(sys, s3);
-    };
-
-    memory_system fused(alpha21064(512 * 1024));
-    memory_system layered(alpha21064(512 * 1024));
-    run_fused(fused, 128);
-    run_layered(layered, 128);
-    EXPECT_GT(fused.instruction_fetch_misses(),
-              layered.instruction_fetch_misses() * 10);
-
-    // On the SuperSPARC's 20 KB I-cache everything fits: no difference.
-    memory_system fused_sparc(supersparc_with_l2());
-    memory_system layered_sparc(supersparc_with_l2());
-    run_fused(fused_sparc, 128);
-    run_layered(layered_sparc, 128);
-    EXPECT_EQ(fused_sparc.instruction_fetch_misses(),
-              layered_sparc.instruction_fetch_misses());
 }
 
 }  // namespace

@@ -275,7 +275,7 @@ TEST(Tracer, AttributionFollowsTheScopedSide) {
 // per-stage self totals summing exactly to each side's run totals.
 TEST(Tracer, TransferSelfAttributionSumsExactlyToMemorySystemTotals) {
     ILP_OBS_REQUIRED();
-    app::transfer_config config;
+    engine::flow_config config;
     config.file_bytes = 4 * 1024;
     config.packet_wire_bytes = 1024;
     memsim::memory_system client(memsim::supersparc_with_l2());

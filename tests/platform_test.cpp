@@ -194,7 +194,7 @@ TEST(Estimator, SecondLevelCacheAbsorbsRetraversalMisses) {
     // of the same file), the L2 machines absorb those misses while the
     // SS10-30 pays main memory each time.  Compare raw memory-system cycles
     // of identical transfers under both cache configurations.
-    app::transfer_config config;
+    engine::flow_config config;
     config.file_bytes = 15 * 1024;
     config.copies = 3;  // copies 2..3 re-read the file buffer
 

@@ -385,8 +385,8 @@ TEST(TcpFlowControl, ZeroWindowPersistProbeUnwedgesTheSender) {
 
 using crypto::safer_simplified;
 
-app::transfer_config base_config() {
-    app::transfer_config config;
+engine::flow_config base_config() {
+    engine::flow_config config;
     config.file_bytes = 12 * 1024;
     config.packet_wire_bytes = 512;
     config.retry.response_timeout_us = 2'000'000;
@@ -395,7 +395,7 @@ app::transfer_config base_config() {
 }
 
 TEST(Recovery, OutageMidTransferIsResumedNotRestarted) {
-    app::transfer_config config = base_config();
+    engine::flow_config config = base_config();
     // Big enough that the transfer is mid-flight when the reply link dies;
     // the outage outlasts TCP's give-up point (8 retries x 200 ms), so
     // recovery must come from the RPC layer.
@@ -412,7 +412,7 @@ TEST(Recovery, OutageMidTransferIsResumedNotRestarted) {
 }
 
 TEST(Recovery, BlackoutFailsExplicitlyBeforeDeadline) {
-    app::transfer_config config = base_config();
+    engine::flow_config config = base_config();
     config.forward_faults.outages.push_back(
         {0, 1'000'000'000'000ull});  // permanent
     const auto result = app::run_transfer_native<safer_simplified>(config);
@@ -423,7 +423,7 @@ TEST(Recovery, BlackoutFailsExplicitlyBeforeDeadline) {
 }
 
 TEST(Recovery, RequestLinkFailureIsAlsoRecovered) {
-    app::transfer_config config = base_config();
+    engine::flow_config config = base_config();
     config.file_bytes = 4 * 1024;
     // The *request* link (not the reply link) blacks out long enough for
     // the client's request sender to give up, then comes back.
@@ -440,48 +440,48 @@ TEST(Recovery, RequestLinkFailureIsAlsoRecovered) {
 // recorded recovery attempt is the failure mode this subsystem removes.
 struct chaos_scenario {
     const char* name;
-    void (*apply)(app::transfer_config&);
+    void (*apply)(engine::flow_config&);
 };
 
 const chaos_scenario chaos_matrix[] = {
-    {"clean", [](app::transfer_config&) {}},
+    {"clean", [](engine::flow_config&) {}},
     {"bernoulli",
-     [](app::transfer_config& c) {
+     [](engine::flow_config& c) {
          c.forward_faults.drop_probability = 0.1;
          c.reverse_faults.drop_probability = 0.05;
      }},
     {"burst",
-     [](app::transfer_config& c) {
+     [](engine::flow_config& c) {
          c.forward_faults.burst.enabled = true;
          c.forward_faults.burst.p_good_to_bad = 0.05;
          c.forward_faults.burst.p_bad_to_good = 0.25;
          c.forward_faults.burst.bad_loss = 0.95;
      }},
     {"outage",
-     [](app::transfer_config& c) {
+     [](engine::flow_config& c) {
          c.file_bytes = 96 * 1024;  // still mid-flight at t = 1 ms
          c.forward_faults.outages.push_back({1'000, 2'500'000});
      }},
     {"repeated_outage",
-     [](app::transfer_config& c) {
+     [](engine::flow_config& c) {
          c.file_bytes = 128 * 1024;
          c.forward_faults.outages.push_back({1'000, 2'500'000});
          c.forward_faults.outages.push_back({3'000'000, 4'500'000});
      }},
     {"truncating",
-     [](app::transfer_config& c) {
+     [](engine::flow_config& c) {
          c.forward_faults.truncate_probability = 0.2;
      }},
     {"queue_overflow",
-     [](app::transfer_config& c) {
+     [](engine::flow_config& c) {
          c.forward_faults.max_queue_packets = 2;
      }},
     {"blackout",
-     [](app::transfer_config& c) {
+     [](engine::flow_config& c) {
          c.forward_faults.outages.push_back({0, 1'000'000'000'000ull});
      }},
     {"kitchen_sink",
-     [](app::transfer_config& c) {
+     [](engine::flow_config& c) {
          c.forward_faults.burst.enabled = true;
          c.forward_faults.burst.p_good_to_bad = 0.05;
          c.forward_faults.burst.p_bad_to_good = 0.3;
@@ -503,7 +503,7 @@ TEST_P(ChaosMatrix, CompletesVerifiedOrFailsExplicitly) {
     const auto& [index, mode] = GetParam();
     const chaos_scenario& s = chaos_matrix[index];
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        app::transfer_config config = base_config();
+        engine::flow_config config = base_config();
         config.mode = mode;
         s.apply(config);
         config.forward_faults.seed = seed;

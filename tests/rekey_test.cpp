@@ -526,8 +526,8 @@ TEST(CorruptSpan, PerTargetStatsAndUnchangedDrawOrder) {
 // ---------------------------------------------------------------------------
 // End-to-end secure transfers
 
-app::transfer_config secure_config() {
-    app::transfer_config config;
+engine::flow_config secure_config() {
+    engine::flow_config config;
     config.file_bytes = 24 * 1024;
     config.packet_wire_bytes = 512;
     config.retry.response_timeout_us = 2'000'000;
@@ -539,7 +539,7 @@ app::transfer_config secure_config() {
 
 TEST(SecureTransfer, CompletesVerifiedWithRekeysBothModes) {
     for (const auto mode : {app::path_mode::ilp, app::path_mode::layered}) {
-        app::transfer_config config = secure_config();
+        engine::flow_config config = secure_config();
         config.mode = mode;
         const auto result = app::run_transfer_native<aead_cipher>(config);
         ASSERT_TRUE(result.completed);
@@ -555,7 +555,7 @@ TEST(SecureTransfer, CompletesVerifiedWithRekeysBothModes) {
 }
 
 TEST(SecureTransfer, NegotiatedDownV2FlowRunsClassicFraming) {
-    app::transfer_config config = secure_config();
+    engine::flow_config config = secure_config();
     config.secure_wire_version = rpc::wire_version;  // old peer
     const auto result = app::run_transfer_native<aead_cipher>(config);
     ASSERT_TRUE(result.completed);
@@ -567,7 +567,7 @@ TEST(SecureTransfer, NegotiatedDownV2FlowRunsClassicFraming) {
 }
 
 TEST(SecureTransfer, KeyMismatchFailsExplicitlyNeverSilently) {
-    app::transfer_config config = secure_config();
+    engine::flow_config config = secure_config();
     config.client_secret_override = 0xd15a9ee;  // endpoints disagree on keys
     const auto result = app::run_transfer_native<aead_cipher>(config);
     EXPECT_FALSE(result.completed);
@@ -581,7 +581,7 @@ TEST(SecureTransfer, KeyMismatchFailsExplicitlyNeverSilently) {
 
 TEST(SecureTransfer, RekeyUnderBurstLossCompletesWithoutSpuriousFailures) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        app::transfer_config config = secure_config();
+        engine::flow_config config = secure_config();
         config.file_bytes = 64 * 1024;
         config.rekey_interval_bytes = 8 * 1024;
         config.forward_faults.burst.enabled = true;
@@ -609,42 +609,42 @@ TEST(SecureTransfer, RekeyUnderBurstLossCompletesWithoutSpuriousFailures) {
 
 struct rekey_chaos_scenario {
     const char* name;
-    void (*apply)(app::transfer_config&);
+    void (*apply)(engine::flow_config&);
 };
 
 const rekey_chaos_scenario rekey_chaos_matrix[] = {
-    {"clean", [](app::transfer_config&) {}},
+    {"clean", [](engine::flow_config&) {}},
     {"burst_loss",
-     [](app::transfer_config& c) {
+     [](engine::flow_config& c) {
          c.forward_faults.burst.enabled = true;
          c.forward_faults.burst.p_good_to_bad = 0.05;
          c.forward_faults.burst.p_bad_to_good = 0.25;
          c.forward_faults.burst.bad_loss = 0.95;
      }},
     {"ack_outage_persist",
-     [](app::transfer_config& c) {
+     [](engine::flow_config& c) {
          // The ACK path dies mid-transfer: the sender's window freezes and
          // the persist/retransmit machinery carries old-epoch ciphertext
          // across the rekeys that happen after the link heals.
          c.reverse_faults.outages.push_back({1'000, 2'500'000});
      }},
     {"outage_resume",
-     [](app::transfer_config& c) {
+     [](engine::flow_config& c) {
          c.file_bytes = 96 * 1024;
          c.forward_faults.outages.push_back({1'000, 2'500'000});
      }},
     {"trailer_corruption",
-     [](app::transfer_config& c) {
+     [](engine::flow_config& c) {
          c.forward_faults.corrupt_probability = 0.05;
          c.forward_faults.corrupt_span = net::corrupt_target::trailer_tail;
      }},
     {"header_corruption",
-     [](app::transfer_config& c) {
+     [](engine::flow_config& c) {
          c.forward_faults.corrupt_probability = 0.05;
          c.forward_faults.corrupt_span = net::corrupt_target::header;
      }},
     {"kitchen_sink",
-     [](app::transfer_config& c) {
+     [](engine::flow_config& c) {
          c.forward_faults.burst.enabled = true;
          c.forward_faults.burst.p_good_to_bad = 0.05;
          c.forward_faults.burst.p_bad_to_good = 0.3;
@@ -664,7 +664,7 @@ TEST_P(RekeyChaosMatrix, CompletesVerifiedOrFailsExplicitly) {
     const auto& [index, mode] = GetParam();
     const rekey_chaos_scenario& s = rekey_chaos_matrix[index];
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        app::transfer_config config = secure_config();
+        engine::flow_config config = secure_config();
         config.mode = mode;
         s.apply(config);
         config.forward_faults.seed = seed;

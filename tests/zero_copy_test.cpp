@@ -250,7 +250,7 @@ TEST(ZeroCopyPipe, LoanDeliveryPreservesBytesAndStraddlesTheWrap) {
 // ILP path and for secure framing (clear trailer decoded before the loop).
 TEST(ZeroCopyTransfer, ReceiveSideAccessesDropAndTransfersVerify) {
     for (const bool secure : {false, true}) {
-        app::transfer_config config;
+        engine::flow_config config;
         config.file_bytes = 8 * 1024;
         config.secure = secure;
 
@@ -279,7 +279,7 @@ TEST(ZeroCopyTransfer, ReceiveSideAccessesDropAndTransfersVerify) {
 // layer stages a counted copy for it (chains are ILP-only), trading the
 // saving for correctness rather than failing.
 TEST(ZeroCopyTransfer, LayeredModeFallsBackAndVerifies) {
-    app::transfer_config config;
+    engine::flow_config config;
     config.file_bytes = 8 * 1024;
     config.mode = app::path_mode::layered;
     config.zero_copy = true;
@@ -292,7 +292,7 @@ TEST(ZeroCopyTransfer, LayeredModeFallsBackAndVerifies) {
 // Faults compose with the loan path: corruption on the reply link is still
 // detected and recovered, byte-verified at the end.
 TEST(ZeroCopyTransfer, FaultsComposeWithLoanDelivery) {
-    app::transfer_config config;
+    engine::flow_config config;
     config.file_bytes = 8 * 1024;
     config.zero_copy = true;
     config.forward_faults.corrupt_probability = 0.05;
