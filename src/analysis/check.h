@@ -1,6 +1,6 @@
 // Fusion-legality checker: Braun & Diot's applicability rules, executable.
 //
-// `check_pipeline` maps one registered pipeline model to a list of findings.
+// `check_pipeline` maps one pipeline model to a list of findings.
 // Error-severity findings are fusions the paper rules illegal — running them
 // silently computes garbage (a CRC over parts processed out of order, a
 // cipher block straddling a part boundary); warnings are legal-but-costly
@@ -44,7 +44,7 @@ struct finding {
     severity sev = severity::note;
     const char* rule = "";      // stable id, e.g. "R1-ordering"
     std::string site;           // file:function-style location
-    std::string pipeline;       // registered pipeline name
+    std::string pipeline;       // pipeline (stage graph) name
     std::string message;
     // The offending stage — or stage pair, rendered "a × b" — the rule
     // fired on.  Machine-readable companion to the prose in `message`; the

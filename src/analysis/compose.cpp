@@ -6,13 +6,6 @@ namespace ilp::analysis {
 
 namespace {
 
-// Ls, the memory-path unit the fused loop exchanges at minimum
-// (fused_pipeline starts its lcm fold at 8; word chains hand out 4-byte
-// words by definition).
-std::size_t base_unit(pipeline_kind kind) {
-    return kind == pipeline_kind::word_chain ? 4 : 8;
-}
-
 void add_graph_finding(verdict& v, const stage_graph& g, severity sev,
                        const char* rule, std::string message,
                        std::string stage) {
@@ -82,13 +75,16 @@ verdict compose_and_check(const stage_graph& g) {
     }
 
     // Fold the footprints along the topological order: the composed stage
-    // list, and Le as the lcm of every unit size over the Ls base — the
-    // same fold fused_pipeline does at compile time.
-    std::size_t le = base_unit(g.kind);
+    // list, and Le as the lcm of every unit size over the Ls = 8 base — the
+    // same fold fused_pipeline does at compile time.  A word chain hands
+    // out 4-byte words whatever its filters process (W1 flags the gap), so
+    // its Le is the handoff, not the fold.
+    const bool word_chain = g.kind == pipeline_kind::word_chain;
+    std::size_t le = word_chain ? 4 : 8;
     for (const std::size_t i : *order) {
         const footprint& fp = g.nodes[i].fp;
         v.composed.stages.push_back(fp);
-        if (fp.unit_bytes != 0) le = std::lcm(le, fp.unit_bytes);
+        if (!word_chain && fp.unit_bytes != 0) le = std::lcm(le, fp.unit_bytes);
     }
     v.composed.exchange_unit_bytes = le;
 

@@ -3,8 +3,9 @@
 // Text mode mirrors compiler diagnostics so editors and humans parse it at
 // a glance:
 //
-//   src/app/send_path.h:fill_message_ilp: error: [R1-ordering] stage
-//   'crc32_tap' is ordering-constrained but ...  (pipeline: app-send-ilp)
+//   src/app/compose_models.h:flow_graph: error: [R1-ordering] stage
+//   'crc32_tap' is ordering-constrained but ...
+//   (pipeline: flow/safer-k64/v2/tap-crc32/send-bca)
 //
 // JSON mode is the machine-readable CI contract: a stable top-level object
 // with per-finding records and summary counts; `ilp-lint --json` emits it

@@ -1,16 +1,17 @@
-// Block-graph IR — runtime-assembled stage compositions as data.
+// Block-graph IR — stage compositions as data.
 //
-// The pipeline registry (registry.h) covers the compositions the stack
-// compiles in; this IR covers the ones it *assembles at runtime*: a flow's
-// per-connection cipher choice, optional filter/tee taps, a framing decided
-// by version negotiation.  Every data-manipulation block is a
-// self-describing node — its footprint (granularity, alignment, ordering
-// and header-size constraints, table working set, trailer obligation) plus
-// the epoch-relevant parameters that decide when a cached legality verdict
-// must die.  The symbolic composer (compose.h) folds a graph's footprints
-// into one pipeline_model and runs the paper's applicability rules on the
-// composition; the legality gate (gate.h) caches those verdicts by
-// graph_hash so the per-flow cost at connection setup is a map lookup.
+// The analyzer's one IR for a composition.  It covers the pipelines the
+// stack compiles in (app::pipeline_inventory) and the ones it *assembles at
+// runtime*: a flow's per-connection cipher choice, optional filter/tee
+// taps, a framing decided by version negotiation.  Every data-manipulation
+// block is a self-describing node — its footprint (granularity, alignment,
+// ordering and header-size constraints, table working set, trailer
+// obligation) plus the epoch-relevant parameters that decide when a cached
+// legality verdict must die.  The symbolic composer (compose.h) folds a
+// graph's footprints into one pipeline_model and runs the paper's
+// applicability rules on the composition; the legality gate (gate.h) caches
+// those verdicts by graph_hash so the per-flow cost at connection setup is
+// a map lookup.
 #pragma once
 
 #include <cstdint>

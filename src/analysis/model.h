@@ -1,13 +1,12 @@
-// Pipeline models — the composition-level IR the analyzer checks.
+// Pipeline models — the composed form the applicability rules run on.
 //
-// A `pipeline_model` is one registered pipeline configuration: which stages
-// are fused (their footprints, in loop order), how data is scheduled through
-// them (linear vs the paper's out-of-order B,C,A part plan, plus the part
-// geometry itself), and where in the codebase the composition lives.  The
-// app/RPC/TCP layers build these next to the code they describe
-// (src/app/path_models.h, src/rpc/pipeline_models.h,
-// src/tcp/pipeline_models.h) and register them so `ilp-lint` can walk every
-// configuration the stack actually runs.
+// A `pipeline_model` is one composed pipeline: which stages are fused (their
+// footprints, in loop order), how data is scheduled through them (linear vs
+// the paper's out-of-order B,C,A part plan, plus the part geometry itself),
+// and where in the codebase the composition lives.  Compositions are written
+// as stage graphs (graph.h); compose_and_check (compose.h) folds each into
+// a pipeline_model, both for the engine's legality gate and for every
+// pipeline `ilp-lint` checks (app::pipeline_inventory).
 #pragma once
 
 #include <cstddef>
@@ -33,7 +32,7 @@ struct part_info {
 };
 
 struct pipeline_model {
-    // Registered name, unique-ish, used in diagnostics and --list.
+    // Name, unique within the inventory, used in diagnostics and --list.
     std::string name;
     // Where the composition lives: "src/app/send_path.h:fill_message_ilp".
     std::string site;

@@ -1,17 +1,19 @@
-// Runtime-assembled flow graphs — the app's input to the legality engine.
+// Stage graphs: the app's input to the legality engine and to ilp-lint.
 //
-// The engine no longer trusts a fixed registry of hand-audited pipelines:
-// a flow's stage composition is assembled at run time from its config
+// A flow's stage composition is assembled at run time from its config
 // (cipher, wire framing, optional observation tap, side), described as an
 // analysis::stage_graph, and handed to analysis::legality_gate before any
 // fused loop runs.  This header builds those graphs.  The same builders
 // drive the `ilp-lint --compose` sweep, so the graph the engine gates is
-// byte-for-byte the graph CI verified differentially.
+// byte-for-byte the graph CI verified differentially.  pipeline_inventory()
+// adds the compositions the stack compiles in, so `ilp-lint` checks every
+// pipeline through the one composer.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "analysis/graph.h"
 #include "app/secure_path.h"
@@ -59,7 +61,9 @@ inline const char* to_string(compose_schedule s) noexcept {
 }
 
 // Representative marshalled size the composed graphs (and the sweep's
-// differential runs) use: header + a 1 KB payload, same as path_models.cpp.
+// differential runs) use: header + a 1 KB payload.  The geometry rules are
+// invariant in the payload size as long as marshalling pads to the cipher
+// unit, so one exemplar plan stands in for the whole family.
 inline constexpr std::size_t compose_marshalled_bytes =
     rpc::reply_payload_offset + 1024;
 
@@ -170,5 +174,12 @@ analysis::stage_graph flow_receive_graph(const secure_params& params,
                                          std::uint64_t epoch) {
     return flow_graph<Cipher>(params, tap, compose_schedule::receive, epoch);
 }
+
+// Every pipeline `ilp-lint` checks, in report order: the static
+// compositions the TCP, RPC and app layers compile in (stage footprints
+// taken from the types they fuse; the schedule, part plan and trailer
+// reservation restated, because they live in runtime control flow) and the
+// flow graphs above.  Names are unique.
+std::vector<analysis::stage_graph> pipeline_inventory();
 
 }  // namespace ilp::app

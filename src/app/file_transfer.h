@@ -17,9 +17,11 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -608,8 +610,8 @@ public:
 
     // The reassembled file contents of one received copy.
     std::span<const std::byte> copy_data(std::uint32_t copy) const {
-        ILP_EXPECT(copy < state_.buffers.size());
-        return {state_.buffers[copy].data(), state_.total};
+        ILP_EXPECT(state_.total_known && copy < state_.buffers.size());
+        return {state_.buffers[copy].get(), state_.total};
     }
 
     std::uint64_t bytes_received() const noexcept {
@@ -644,12 +646,20 @@ public:
     }
 
 private:
+    struct free_storage {
+        void operator()(std::byte* p) const noexcept { std::free(p); }
+    };
+
     struct transfer_state {
         rpc::file_request request;
         bool active = false;
+        // The file size a reply claims is tentative until TCP accepts the
+        // segment that carried it; commit_reply() latches it.  Until then a
+        // corrupted reply's garbage size must not fix the transfer's.
         bool total_known = false;
         std::size_t total = 0;
-        std::vector<std::vector<std::byte>> buffers;
+        // One buffer of `total` bytes per copy.
+        std::vector<std::unique_ptr<std::byte, free_storage>> buffers;
         std::vector<std::size_t> received;
         std::vector<std::uint32_t> completed_replies;  // replies reaching EOF
     };
@@ -665,11 +675,8 @@ private:
                 h.copy_index >= state_.request.copy_count) {
                 return {};
             }
-            if (!state_.total_known) {
-                state_.total = h.total_bytes;
-                state_.total_known = true;
-                state_.buffers.assign(state_.request.copy_count,
-                                      std::vector<std::byte>(state_.total));
+            if (!state_.total_known && !reserve_storage(h.total_bytes)) {
+                return {};
             }
             if (h.total_bytes != state_.total ||
                 h.offset + payload_bytes > state_.total) {
@@ -679,7 +686,7 @@ private:
                 // Empty file: a zero-length reply still signals completion.
                 return {};
             }
-            return {state_.buffers[h.copy_index].data() + h.offset,
+            return {state_.buffers[h.copy_index].get() + h.offset,
                     payload_bytes};
         };
 
@@ -702,13 +709,32 @@ private:
         return result;
     }
 
+    // Tentative storage for the geometry a not-yet-accepted reply claims.
+    // It replaces whatever an earlier reply TCP never accepted left behind.
+    // calloc, not a zero-filled vector: a garbage size gets nullptr (the
+    // reply is rejected) instead of std::bad_alloc, and a large request
+    // comes back as zero pages nobody touches until data lands in them.
+    bool reserve_storage(std::size_t total) {
+        state_.buffers.clear();
+        state_.buffers.reserve(state_.request.copy_count);
+        state_.total = total;
+        for (std::uint32_t c = 0; c < state_.request.copy_count; ++c) {
+            state_.buffers.emplace_back(
+                static_cast<std::byte*>(std::calloc(1, total)));
+            if (state_.buffers.back() == nullptr && total != 0) return false;
+        }
+        return true;
+    }
+
     // Final-stage commit: TCP accepted the segment carrying the pending
-    // reply.  Commits are strictly contiguous per copy — a reply opening a
-    // gap is ignored, and overlap with already-committed data (a server
-    // resuming slightly behind the client) only counts the fresh suffix.
+    // reply, so its geometry becomes the transfer's.  Commits are strictly
+    // contiguous per copy — a reply opening a gap is ignored, and overlap
+    // with already-committed data (a server resuming slightly behind the
+    // client) only counts the fresh suffix.
     void commit_reply() {
         if (!pending_valid_) return;
         pending_valid_ = false;
+        state_.total_known = true;
         const rpc::reply_header& h = pending_header_;
         std::size_t& got = state_.received[h.copy_index];
         if (h.offset > got) {

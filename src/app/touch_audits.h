@@ -96,7 +96,8 @@ audit_outcome audit_fused_send(const Cipher& cipher,
     out.findings = analysis::audit_touches(
         map,
         {{"msg-staging", 1, 0}, {"msg-payload", 1, 0}, {"wire", 0, 1}},
-        "src/app/send_path.h:fill_message_ilp", "app-send-ilp");
+        "src/app/send_path.h:fill_message_ilp",
+        "flow/safer-k64/v2/tap-none/send-bca");
 
     // Round trip: decrypt the wire with a plain pass and compare payloads.
     byte_buffer plain(layout.wire_bytes);

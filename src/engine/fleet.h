@@ -81,8 +81,8 @@ struct shard_summary {
     net::pipe_stats reply_ack;
     obs::mem_counters client_mem;  // zero under direct_memory
     obs::mem_counters server_mem;
-    // Composition-legality gate activity on this shard (setup + rekey
-    // checks, verdict-cache hits, demotions to the layered path).
+    // Composition-legality gate activity on this shard (one check per flow
+    // at setup, verdict-cache hits, demotions to the layered path).
     analysis::gate_stats gate;
     // Per-shard flow-latency sketch (log2 buckets over every finished
     // flow's elapsed_us) and the bounded slowest-flow identities: the O(1)

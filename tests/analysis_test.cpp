@@ -1,6 +1,6 @@
 // Tests for the fusion-legality analyzer: the footprint IR, the paper's
-// applicability rules, the pipeline registry, and the runtime word-touch
-// auditor (positive on the real fused paths, negative on a seeded
+// applicability rules, the stack's pipeline inventory, and the runtime
+// word-touch auditor (positive on the real fused paths, negative on a seeded
 // double-reading stage).
 #include <gtest/gtest.h>
 
@@ -12,10 +12,10 @@
 #include <string>
 
 #include "analysis/check.h"
+#include "analysis/compose.h"
 #include "analysis/diagnostics.h"
-#include "analysis/registry.h"
 #include "analysis/touch_audit.h"
-#include "app/path_models.h"
+#include "app/compose_models.h"
 #include "app/touch_audits.h"
 #include "buffer/byte_buffer.h"
 #include "checksum/internet_checksum.h"
@@ -26,8 +26,6 @@
 #include "memsim/configs.h"
 #include "memsim/mem_policy.h"
 #include "memsim/touch_map.h"
-#include "rpc/pipeline_models.h"
-#include "tcp/pipeline_models.h"
 #include "util/rng.h"
 #include "xdr/xdr.h"
 
@@ -286,62 +284,86 @@ TEST(Checker, WarnsOnWordChainHandoffMismatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry + the stack's own pipelines
+// The stack's own pipelines: app::pipeline_inventory(), composed
 
-TEST(Registry, EveryRegisteredStackPipelineIsLegal) {
-    analysis::pipeline_registry registry;
-    std::vector<finding> at_registration;
-    const auto take = [&at_registration](std::vector<finding> f) {
-        at_registration.insert(at_registration.end(), f.begin(), f.end());
-    };
-    take(tcp::register_tcp_pipelines(registry));
-    take(rpc::register_rpc_pipelines(registry));
-    take(app::register_app_pipelines(registry));
+struct composed_inventory {
+    std::vector<pipeline_model> models;
+    std::vector<finding> findings;
+};
 
-    EXPECT_GE(registry.models().size(), 10u);
-    EXPECT_EQ(error_count(at_registration), 0u);
-    EXPECT_EQ(error_count(registry.check_all()), 0u);
+composed_inventory compose_inventory() {
+    composed_inventory out;
+    for (const analysis::stage_graph& g : app::pipeline_inventory()) {
+        analysis::verdict v = analysis::compose_and_check(g);
+        out.models.push_back(std::move(v.composed));
+        out.findings.insert(out.findings.end(), v.findings.begin(),
+                            v.findings.end());
+    }
+    return out;
 }
 
-TEST(Registry, EverySiteNamesAFunctionInAnExistingFile) {
+TEST(Inventory, EveryStackPipelineIsLegal) {
+    const composed_inventory inv = compose_inventory();
+    EXPECT_GE(inv.models.size(), 10u);
+    EXPECT_EQ(error_count(inv.findings), 0u);
+}
+
+TEST(Inventory, EverySiteNamesAFunctionInAnExistingFile) {
     // A site is "<path from the repo root>:<function>", where the function
     // may be qualified ("class::member").  Diagnostics point readers at it,
     // so it must survive renames: the file exists and mentions every name.
-    analysis::pipeline_registry registry;
-    (void)tcp::register_tcp_pipelines(registry);
-    (void)rpc::register_rpc_pipelines(registry);
-    (void)app::register_app_pipelines(registry);
-    ASSERT_FALSE(registry.models().empty());
-    for (const pipeline_model& m : registry.models()) {
-        const std::size_t colon = m.site.find(':');
-        ASSERT_NE(colon, std::string::npos) << m.name << ": " << m.site;
+    const std::vector<analysis::stage_graph> inventory =
+        app::pipeline_inventory();
+    ASSERT_FALSE(inventory.empty());
+    for (const analysis::stage_graph& g : inventory) {
+        const std::size_t colon = g.site.find(':');
+        ASSERT_NE(colon, std::string::npos) << g.name << ": " << g.site;
         std::ifstream file(std::string(ILP_SOURCE_DIR) + "/" +
-                           m.site.substr(0, colon));
-        ASSERT_TRUE(file.good()) << m.name << ": no file for " << m.site;
+                           g.site.substr(0, colon));
+        ASSERT_TRUE(file.good()) << g.name << ": no file for " << g.site;
         std::stringstream text;
         text << file.rdbuf();
         const std::string body = text.str();
-        std::string names = m.site.substr(colon + 1);
+        std::string names = g.site.substr(colon + 1);
         for (std::size_t at = 0; at != std::string::npos;) {
             const std::size_t next = names.find("::", at);
             const std::string name = names.substr(at, next - at);
             EXPECT_TRUE(mentions_identifier(body, name))
-                << m.name << ": " << m.site << " does not mention " << name;
+                << g.name << ": " << g.site << " does not mention " << name;
             at = next == std::string::npos ? next : next + 2;
         }
     }
 }
 
-TEST(Registry, JsonReportIsWellFormedAndCountsMatch) {
-    analysis::pipeline_registry registry;
-    (void)rpc::register_rpc_pipelines(registry);
-    const std::vector<finding> findings = registry.check_all();
-    const std::string doc =
-        analysis::render_json(registry.models(), findings);
+TEST(Inventory, JsonReportIsWellFormedAndCountsMatch) {
+    const composed_inventory inv = compose_inventory();
+    std::size_t warnings = 0;
+    for (const finding& f : inv.findings) {
+        if (f.sev == severity::warning) ++warnings;
+    }
+    const std::string doc = analysis::render_json(inv.models, inv.findings);
     EXPECT_NE(doc.find("\"pipelines\""), std::string::npos);
     EXPECT_NE(doc.find("\"findings\""), std::string::npos);
     EXPECT_NE(doc.find("\"errors\": 0"), std::string::npos);
-    EXPECT_NE(doc.find("rpc-trailer-send"), std::string::npos);
+    EXPECT_NE(doc.find("\"warnings\": " + std::to_string(warnings)),
+              std::string::npos);
+    // One inventory record per model, one finding record per finding.
+    std::size_t records = 0;
+    std::size_t finding_records = 0;
+    for (std::size_t at = doc.find("{\"name\": "); at != std::string::npos;
+         at = doc.find("{\"name\": ", at + 1)) {
+        ++records;
+    }
+    for (std::size_t at = doc.find("{\"severity\": ");
+         at != std::string::npos; at = doc.find("{\"severity\": ", at + 1)) {
+        ++finding_records;
+    }
+    EXPECT_EQ(records, inv.models.size());
+    EXPECT_EQ(finding_records, inv.findings.size());
+    for (const pipeline_model& m : inv.models) {
+        EXPECT_NE(doc.find("\"name\": \"" + m.name + "\""), std::string::npos)
+            << m.name;
+    }
 }
 
 // ---------------------------------------------------------------------------

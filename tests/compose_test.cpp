@@ -6,13 +6,13 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/compose.h"
 #include "analysis/gate.h"
 #include "analysis/graph.h"
-#include "analysis/registry.h"
 #include "app/compose_models.h"
 #include "app/compose_sweep.h"
 #include "core/stage.h"
@@ -102,6 +102,17 @@ TEST(Composer, ExplicitDagFoldsInTopologicalOrder) {
     EXPECT_EQ(v.composed.exchange_unit_bytes, 8u);
 }
 
+TEST(Composer, WordChainExchangesFourByteWords) {
+    // The chain hands data on as 4-byte words whatever its filters process:
+    // the 8-byte cipher does not widen Le, it draws the W1 handoff warning.
+    analysis::stage_graph g = linear_graph();
+    g.kind = analysis::pipeline_kind::word_chain;
+    const analysis::verdict v = analysis::compose_and_check(g);
+    EXPECT_TRUE(v.legal) << v.rule << " on " << v.offender;
+    EXPECT_EQ(v.composed.exchange_unit_bytes, 4u);
+    EXPECT_TRUE(has_rule(v, "W1-word-handoff"));
+}
+
 TEST(Composer, TrailerObligationMustMatchReservationExactly) {
     // AEAD obliges 8 trailer bytes; the v3 framing reserves 8: legal.
     analysis::stage_graph g = linear_graph();
@@ -178,18 +189,14 @@ TEST(Gate, CachesVerdictsByHashAndRekeyInvalidates) {
     EXPECT_EQ(gate.stats().fallbacks, 1u);
 }
 
-TEST(RegistryDeathTest, DuplicateRegistrationAborts) {
-    analysis::pipeline_registry registry;
-    analysis::pipeline_model m;
-    m.name = "dup";
-    m.site = "tests/compose_test.cpp:first";
-    m.stages = {enc::footprint_decl};
-    m.exchange_unit_bytes = 8;
-    (void)registry.add(m);
-    analysis::pipeline_model second = m;
-    second.site = "tests/compose_test.cpp:second";
-    EXPECT_DEATH((void)registry.add(second),
-                 "duplicate pipeline registration 'dup'");
+// Reports and diagnostics key on the pipeline name, so a second entry under
+// an existing name would shadow the first.
+TEST(Inventory, NamesAreUnique) {
+    std::set<std::string> names;
+    for (const analysis::stage_graph& g : app::pipeline_inventory()) {
+        EXPECT_TRUE(names.insert(g.name).second) << "duplicate: " << g.name;
+    }
+    EXPECT_FALSE(names.empty());
 }
 
 // An ad-hoc stage with no footprint declaration: composing it still works,

@@ -13,6 +13,7 @@
 
 #include "app/harness.h"
 #include "checksum/internet_checksum.h"
+#include "crypto/safer_k64.h"
 #include "crypto/safer_simplified.h"
 #include "memsim/mem_policy.h"
 #include "net/datagram.h"
@@ -432,6 +433,36 @@ TEST(Recovery, RequestLinkFailureIsAlsoRecovered) {
     ASSERT_TRUE(result.completed);
     EXPECT_TRUE(result.verified);
     EXPECT_GE(result.recovery.rpc_retries, 1u);
+}
+
+// A corrupted reply decrypts to a garbage file size.  The client adopts a
+// reply's geometry only once TCP has accepted the segment; these seeds
+// corrupt the first reply so that it claims 16,088 bytes (safer_simplified,
+// seed 2814) or 148 MB (safer_k64, seed 2747).  Latched before the checksum
+// verdict, that size made every later reply mismatch until the flow gave up.
+template <typename Cipher>
+app::transfer_result corrupted_first_reply(std::uint64_t seed) {
+    engine::flow_config config;
+    config.file_bytes = 4096;
+    config.packet_wire_bytes = 1024;
+    config.forward_faults.corrupt_probability = 0.3;
+    config.forward_faults.corrupt_span = net::corrupt_target::payload;
+    config.forward_faults.seed = seed;
+    config.retry.response_timeout_us = 50'000;
+    const Cipher cipher = engine::make_static_cipher<Cipher>(seed);
+    return app::run_transfer(config, direct_memory{}, direct_memory{}, cipher,
+                             cipher);
+}
+
+TEST(Recovery, ReplyGeometryWaitsForTcpAcceptance) {
+    const app::transfer_result simplified =
+        corrupted_first_reply<safer_simplified>(2814);
+    EXPECT_TRUE(simplified.completed);
+    EXPECT_TRUE(simplified.verified);
+    const app::transfer_result k64 =
+        corrupted_first_reply<crypto::safer_k64>(2747);
+    EXPECT_TRUE(k64.completed);
+    EXPECT_TRUE(k64.verified);
 }
 
 // The chaos matrix: every fault plan here must end in one of exactly two

@@ -1,11 +1,12 @@
-// ilp-lint — fusion-legality linter for every pipeline the stack registers.
+// ilp-lint — fusion-legality linter for every pipeline the stack runs.
 //
-// Walks the pipeline registry (populated by the TCP, RPC and application
-// layers), runs the paper's applicability rules over each composition, and
-// reports compiler-style diagnostics.  Exit status is the CI contract:
-// 0 when no error-severity finding exists, 1 otherwise.
+// Composes each stage graph of app::pipeline_inventory() (the TCP, RPC and
+// application layers' static compositions plus the engine's flow graphs),
+// runs the paper's applicability rules over it, and reports compiler-style
+// diagnostics.  Exit status is the CI contract: 0 when no error-severity
+// finding exists, 1 otherwise.
 //
-//   ilp-lint             text diagnostics over all registered pipelines
+//   ilp-lint             text diagnostics over every inventory pipeline
 //   ilp-lint --json      machine-readable report (findings + inventory)
 //   ilp-lint --list      inventory only: every pipeline and its stages
 //   ilp-lint --audit     additionally run the word-touch audits (the
@@ -25,15 +26,13 @@
 #include <string>
 #include <vector>
 
+#include "analysis/compose.h"
 #include "analysis/diagnostics.h"
-#include "analysis/registry.h"
+#include "app/compose_models.h"
 #include "app/compose_sweep.h"
-#include "app/path_models.h"
 #include "app/touch_audits.h"
 #include "core/message_plan.h"
 #include "crypto/safer_k64.h"
-#include "rpc/pipeline_models.h"
-#include "tcp/pipeline_models.h"
 
 // GCC 12 false-positives -Wrestrict on inlined std::string concatenation
 // (gcc bug 105329), same as analysis/diagnostics.cpp.
@@ -45,17 +44,12 @@ namespace {
 
 using namespace ilp;
 
-void register_builtin_pipelines(analysis::pipeline_registry& registry) {
-    // Registration findings are discarded here; check_all() re-derives the
-    // complete set so the report covers every model exactly once.
-    (void)tcp::register_tcp_pipelines(registry);
-    (void)rpc::register_rpc_pipelines(registry);
-    (void)app::register_app_pipelines(registry);
-}
+// The fused send path's flow graph, the name its audit findings carry.
+constexpr const char* send_graph_name = "flow/safer-k64/v2/tap-none/send-bca";
 
-void print_inventory(const analysis::pipeline_registry& registry) {
+void print_inventory(const std::vector<analysis::pipeline_model>& models) {
     const char* kind_names[] = {"fused", "word_chain", "layered"};
-    for (const analysis::pipeline_model& m : registry.models()) {
+    for (const analysis::pipeline_model& m : models) {
         std::printf("%-24s %-10s Le=%-3zu %s\n", m.name.c_str(),
                     kind_names[static_cast<int>(m.kind)],
                     m.exchange_unit_bytes, m.site.c_str());
@@ -68,20 +62,18 @@ void print_inventory(const analysis::pipeline_registry& registry) {
                         fp.aux_table_bytes != 0 ? " tables" : "");
         }
     }
-    std::printf("%zu pipelines registered\n", registry.models().size());
+    std::printf("%zu pipelines registered\n", models.size());
 }
 
 // Geometry sweep: plan_parts() must produce a legal B,C,A plan for every
 // message size the marshaller can emit.  A regression that breaks the
 // padding math shows up here long before a runtime assertion does.
-std::vector<analysis::finding> sweep_plans(
-    const analysis::pipeline_registry& registry, std::size_t max_bytes) {
+std::vector<analysis::finding> sweep_plans(std::size_t max_bytes) {
     std::vector<analysis::finding> out;
-    const analysis::pipeline_model* send_model = nullptr;
-    for (const analysis::pipeline_model& m : registry.models()) {
-        if (m.name == "app-send-ilp") send_model = &m;
-    }
-    if (send_model == nullptr) return out;
+    const analysis::pipeline_model send_model =
+        analysis::compose_and_check(app::flow_send_graph<crypto::safer_k64>(
+                                        {}, app::compose_tap::none, 0))
+            .composed;
     for (std::size_t marshalled = core::encryption_header_bytes;
          marshalled <= max_bytes; marshalled += 4) {
         const core::message_plan plan = core::plan_parts(marshalled);
@@ -90,7 +82,7 @@ std::vector<analysis::finding> sweep_plans(
             if (!p.empty()) parts.push_back({p.offset, p.len});
         }
         std::vector<analysis::finding> f =
-            analysis::check_part_geometry(*send_model, parts);
+            analysis::check_part_geometry(send_model, parts);
         for (analysis::finding& one : f) {
             one.message += " (marshalled size " + std::to_string(marshalled) +
                            " in sweep)";
@@ -98,7 +90,7 @@ std::vector<analysis::finding> sweep_plans(
         }
         if (!plan.well_formed()) {
             out.push_back({analysis::severity::error, "R3-granularity",
-                           send_model->site, send_model->name,
+                           send_model.site, send_model.name,
                            "plan_parts(" + std::to_string(marshalled) +
                                ") produced a malformed plan",
                            {}});
@@ -121,7 +113,7 @@ std::vector<analysis::finding> run_audits() {
     out.insert(out.end(), zc.findings.begin(), zc.findings.end());
     if (!send.round_trip_ok) {
         out.push_back({analysis::severity::error, "A0-audit-fixture",
-                       "src/app/send_path.h:fill_message_ilp", "app-send-ilp",
+                       "src/app/send_path.h:fill_message_ilp", send_graph_name,
                        "audit payload failed to round-trip through the fused "
                        "send path; the audit result is not trustworthy",
                        {}});
@@ -243,18 +235,21 @@ int main(int argc, char** argv) {
         }
     }
 
-    analysis::pipeline_registry registry;
-    register_builtin_pipelines(registry);
+    std::vector<analysis::pipeline_model> models;
+    std::vector<analysis::finding> findings;
+    for (const analysis::stage_graph& g : app::pipeline_inventory()) {
+        analysis::verdict v = analysis::compose_and_check(g);
+        models.push_back(std::move(v.composed));
+        findings.insert(findings.end(), v.findings.begin(), v.findings.end());
+    }
 
     if (list) {
-        print_inventory(registry);
+        print_inventory(models);
         return 0;
     }
 
-    std::vector<analysis::finding> findings = registry.check_all();
     if (sweep_bytes > 0) {
-        std::vector<analysis::finding> swept =
-            sweep_plans(registry, sweep_bytes);
+        std::vector<analysis::finding> swept = sweep_plans(sweep_bytes);
         findings.insert(findings.end(), swept.begin(), swept.end());
     }
     if (audit) {
@@ -267,9 +262,9 @@ int main(int argc, char** argv) {
 
     std::size_t errors = 0;
     if (json) {
-        std::string doc = render_json(registry.models(), findings);
+        std::string doc = render_json(models, findings);
         if (compose) {
-            // Wrap: {"lint": <registry doc>, "compose": <sweep doc>}.
+            // Wrap: {"lint": <inventory doc>, "compose": <sweep doc>}.
             doc = "{\n  \"lint\": " + doc + ",\n  \"compose\": " +
                   render_compose_json(compose_report) + "\n}";
         }
