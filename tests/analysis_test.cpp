@@ -8,6 +8,7 @@
 #include <cctype>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -26,6 +27,7 @@
 #include "memsim/configs.h"
 #include "memsim/mem_policy.h"
 #include "memsim/touch_map.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "xdr/xdr.h"
 
@@ -341,28 +343,26 @@ TEST(Inventory, JsonReportIsWellFormedAndCountsMatch) {
     for (const finding& f : inv.findings) {
         if (f.sev == severity::warning) ++warnings;
     }
-    const std::string doc = analysis::render_json(inv.models, inv.findings);
-    EXPECT_NE(doc.find("\"pipelines\""), std::string::npos);
-    EXPECT_NE(doc.find("\"findings\""), std::string::npos);
-    EXPECT_NE(doc.find("\"errors\": 0"), std::string::npos);
-    EXPECT_NE(doc.find("\"warnings\": " + std::to_string(warnings)),
-              std::string::npos);
+    const std::optional<json::value> doc =
+        json::parse(analysis::render_json(inv.models, inv.findings));
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(doc->number_at("errors", -1.0), 0.0);
+    EXPECT_EQ(doc->number_at("warnings", -1.0), static_cast<double>(warnings));
     // One inventory record per model, one finding record per finding.
-    std::size_t records = 0;
-    std::size_t finding_records = 0;
-    for (std::size_t at = doc.find("{\"name\": "); at != std::string::npos;
-         at = doc.find("{\"name\": ", at + 1)) {
-        ++records;
-    }
-    for (std::size_t at = doc.find("{\"severity\": ");
-         at != std::string::npos; at = doc.find("{\"severity\": ", at + 1)) {
-        ++finding_records;
-    }
-    EXPECT_EQ(records, inv.models.size());
-    EXPECT_EQ(finding_records, inv.findings.size());
-    for (const pipeline_model& m : inv.models) {
-        EXPECT_NE(doc.find("\"name\": \"" + m.name + "\""), std::string::npos)
-            << m.name;
+    const json::value* pipelines = doc->find("pipelines");
+    const json::value* findings = doc->find("findings");
+    ASSERT_TRUE(pipelines != nullptr && pipelines->is_array());
+    ASSERT_TRUE(findings != nullptr && findings->is_array());
+    ASSERT_EQ(pipelines->as_array()->size(), inv.models.size());
+    EXPECT_EQ(findings->as_array()->size(), inv.findings.size());
+    for (std::size_t i = 0; i < inv.models.size(); ++i) {
+        const json::value& record = (*pipelines->as_array())[i];
+        const pipeline_model& m = inv.models[i];
+        EXPECT_EQ(record.string_at("name"), m.name);
+        EXPECT_EQ(record.string_at("site"), m.site);
+        const json::value* stages = record.find("stages");
+        ASSERT_TRUE(stages != nullptr && stages->is_array()) << m.name;
+        EXPECT_EQ(stages->as_array()->size(), m.stages.size()) << m.name;
     }
 }
 

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "golden.h"
+
 #include "crypto/safer_simplified.h"
 #include "engine/fleet.h"
 #include "obs/flight_recorder.h"
@@ -218,6 +220,18 @@ TEST(FleetReportJson, BlackBoxesDumpOnlyFailedOrDemotedFlows) {
     const json::value* fb = demoted.find("composed_fallback");
     ASSERT_NE(fb, nullptr);
     EXPECT_TRUE(fb->as_bool());
+}
+
+// The whole export pinned byte for byte: both black boxes, per-shard
+// rollups, sampling and the latency sketches.
+TEST(FleetReportJson, MatchesGoldenFile) {
+    const std::string rendered = engine::fleet_report_json(
+        engine::run_fleet_native<cipher>(mixed_fleet()));
+    // The golden file ends with a newline (text file); the export does not.
+    EXPECT_EQ(rendered + "\n", read_golden("fleet_report.json"))
+        << "Fleet export changed.  If intentional, regenerate "
+           "tests/golden/fleet_report.json from the output below.\n"
+        << rendered;
 }
 
 TEST(FleetReportJson, MetricsSurfaceSamplingAndLatencySketch) {

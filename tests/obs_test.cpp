@@ -7,8 +7,11 @@
 // totals exactly — no access is double-counted by nesting and none is lost.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+
+#include "golden.h"
 
 #include "app/harness.h"
 #include "crypto/safer_simplified.h"
@@ -134,6 +137,29 @@ TEST(BenchJson, RendersValidSchemaV2) {
     EXPECT_DOUBLE_EQ((*hists)[0].number_at("count"), 2.0);
     EXPECT_DOUBLE_EQ((*hists)[0].number_at("min"), 10.0);
     EXPECT_DOUBLE_EQ((*hists)[0].number_at("max"), 20.0);
+}
+
+// Every field kind the schema carries: meta, a metric in each direction,
+// an empty and a filled histogram, and a bench name that needs escaping.
+TEST(BenchJson, MatchesGoldenFile) {
+    obs::bench_report report("golden \"quoted\" \\ tab\there");
+    report.meta("cipher", "safer-k64");
+    report.meta("machine", "ss10-41 \"sun4m\"");
+    report.metric("throughput", 42.5, "mbps",
+                  obs::direction::higher_is_better);
+    report.metric("l1d_misses", 123456789.0, "count",
+                  obs::direction::lower_is_better);
+    report.metric("ratio", 1.0 / 3.0, "x", obs::direction::info);
+    report.histogram_metric("idle_us", obs::histogram{}, "us");
+    obs::histogram h;
+    for (const std::uint64_t v : {3u, 10u, 20u, 300u, 4000u}) h.record(v);
+    report.histogram_metric("latency_us", h, "us");
+
+    const std::string rendered = report.render();
+    EXPECT_EQ(rendered, read_golden("bench_report.json"))
+        << "BENCH writer output changed.  If intentional, regenerate "
+           "tests/golden/bench_report.json from the output below.\n"
+        << rendered;
 }
 
 // ------------------------------------------------------------------ tracer
@@ -347,20 +373,9 @@ TEST(ChromeExport, MatchesGoldenFile) {
     const obs::tracer t = make_golden_tracer(clock);
     const std::string rendered = obs::chrome_trace_json(t);
 
-    const std::string golden_path =
-        std::string(GOLDEN_DIR) + "/chrome_trace.json";
-    std::FILE* f = std::fopen(golden_path.c_str(), "rb");
-    ASSERT_NE(f, nullptr) << "missing golden file " << golden_path;
-    std::string golden;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) golden.append(buf, n);
-    std::fclose(f);
     // The golden file ends with a newline (text file); the renderer's
     // output does not.
-    if (!golden.empty() && golden.back() == '\n') golden.pop_back();
-
-    EXPECT_EQ(rendered, golden)
+    EXPECT_EQ(rendered + "\n", read_golden("chrome_trace.json"))
         << "Chrome exporter output changed.  If intentional, regenerate "
            "tests/golden/chrome_trace.json (the test prints the new "
            "output below).\n"
