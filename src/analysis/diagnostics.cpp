@@ -1,41 +1,6 @@
 #include "analysis/diagnostics.h"
 
-#include <array>
-
-// GCC 12 false-positives -Wrestrict on inlined std::string concatenation in
-// render_json (gcc bug 105329): the compiler invents impossible overlapping
-// memcpy bounds for operator+ on rvalue strings.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wrestrict"
-#endif
-
 namespace ilp::analysis {
-
-namespace {
-
-// Minimal JSON string escaping (quotes, backslashes, control chars); the
-// diagnostic strings are ASCII so this is complete for our output.
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    std::array<char, 8> buf{};
-                    std::snprintf(buf.data(), buf.size(), "\\u%04x", c);
-                    out += buf.data();
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
 
 const char* kind_name(pipeline_kind k) {
     switch (k) {
@@ -45,8 +10,6 @@ const char* kind_name(pipeline_kind k) {
     }
     return "unknown";
 }
-
-}  // namespace
 
 std::string render_text(const finding& f) {
     std::string out = f.site;
@@ -83,43 +46,48 @@ std::size_t print_report(std::FILE* out,
     return errors;
 }
 
-std::string render_json(const std::vector<pipeline_model>& models,
-                        const std::vector<finding>& findings) {
+void write_json(json::writer& w, const std::vector<pipeline_model>& models,
+                const std::vector<finding>& findings) {
     std::size_t errors = 0;
     std::size_t warnings = 0;
-    std::string out = "{\n  \"pipelines\": [\n";
-    for (std::size_t i = 0; i < models.size(); ++i) {
-        const pipeline_model& m = models[i];
-        out += "    {\"name\": \"" + json_escape(m.name) + "\", \"site\": \"" +
-               json_escape(m.site) + "\", \"kind\": \"" + kind_name(m.kind) +
-               "\", \"stages\": [";
-        for (std::size_t j = 0; j < m.stages.size(); ++j) {
-            out += std::string("\"") + json_escape(m.stages[j].name) + "\"";
-            if (j + 1 < m.stages.size()) out += ", ";
-        }
-        out += "], \"exchange_unit_bytes\": " +
-               std::to_string(m.exchange_unit_bytes) + "}";
-        if (i + 1 < models.size()) out += ",";
-        out += "\n";
+    w.begin_object();
+    w.key("pipelines").begin_array();
+    for (const pipeline_model& m : models) {
+        w.begin_object();
+        w.key("name").string(m.name);
+        w.key("site").string(m.site);
+        w.key("kind").string(kind_name(m.kind));
+        w.key("stages").begin_array();
+        for (const footprint& fp : m.stages) w.string(fp.name);
+        w.end_array();
+        w.key("exchange_unit_bytes").u64(m.exchange_unit_bytes);
+        w.end_object();
     }
-    out += "  ],\n  \"findings\": [\n";
-    for (std::size_t i = 0; i < findings.size(); ++i) {
-        const finding& f = findings[i];
+    w.end_array();
+    w.key("findings").begin_array();
+    for (const finding& f : findings) {
         if (f.sev == severity::error) ++errors;
         if (f.sev == severity::warning) ++warnings;
-        out += std::string("    {\"severity\": \"") + severity_name(f.sev) +
-               "\", \"rule\": \"" + json_escape(f.rule) + "\", \"site\": \"" +
-               json_escape(f.site) + "\", \"pipeline\": \"" +
-               json_escape(f.pipeline) + "\", \"stage\": \"" +
-               json_escape(f.stage) + "\", \"message\": \"" +
-               json_escape(f.message) + "\"}";
-        if (i + 1 < findings.size()) out += ",";
-        out += "\n";
+        w.begin_object();
+        w.key("severity").string(severity_name(f.sev));
+        w.key("rule").string(f.rule);
+        w.key("site").string(f.site);
+        w.key("pipeline").string(f.pipeline);
+        w.key("stage").string(f.stage);
+        w.key("message").string(f.message);
+        w.end_object();
     }
-    out += "  ],\n";
-    out += "  \"errors\": " + std::to_string(errors) + ",\n";
-    out += "  \"warnings\": " + std::to_string(warnings) + "\n}\n";
-    return out;
+    w.end_array();
+    w.key("errors").u64(errors);
+    w.key("warnings").u64(warnings);
+    w.end_object();
+}
+
+std::string render_json(const std::vector<pipeline_model>& models,
+                        const std::vector<finding>& findings) {
+    json::writer w(json::layout::records);
+    write_json(w, models, findings);
+    return w.take();
 }
 
 }  // namespace ilp::analysis

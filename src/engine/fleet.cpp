@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <string>
 
+#include "util/json.h"
+
 namespace ilp::engine {
 namespace {
 
@@ -19,47 +21,27 @@ void mix(std::uint64_t& h, std::uint64_t v) {
     }
 }
 
-void append_u64(std::string& out, std::uint64_t v) {
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-    out += buf;
+void write_latency(json::writer& w, const obs::histogram& h) {
+    w.begin_object();
+    w.key("count").u64(h.count());
+    w.key("min_us").u64(h.min());
+    w.key("max_us").u64(h.max());
+    w.key("mean_us").number(h.mean());
+    w.key("p50_us").number(h.percentile(50.0));
+    w.key("p90_us").number(h.percentile(90.0));
+    w.key("p99_us").number(h.percentile(99.0));
+    w.end_object();
 }
 
-void append_double(std::string& out, double v) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.10g", v);
-    out += buf;
-}
-
-void append_latency(std::string& out, const obs::histogram& h) {
-    out += "{\"count\":";
-    append_u64(out, h.count());
-    out += ",\"min_us\":";
-    append_u64(out, h.min());
-    out += ",\"max_us\":";
-    append_u64(out, h.max());
-    out += ",\"mean_us\":";
-    append_double(out, h.mean());
-    out += ",\"p50_us\":";
-    append_double(out, h.percentile(50.0));
-    out += ",\"p90_us\":";
-    append_double(out, h.percentile(90.0));
-    out += ",\"p99_us\":";
-    append_double(out, h.percentile(99.0));
-    out += "}";
-}
-
-void append_slowest(std::string& out, const std::vector<slow_flow>& slowest) {
-    out += "[";
-    for (std::size_t i = 0; i < slowest.size(); ++i) {
-        if (i != 0) out += ",";
-        out += "{\"flow\":";
-        append_u64(out, slowest[i].flow_id);
-        out += ",\"elapsed_us\":";
-        append_u64(out, slowest[i].elapsed_us);
-        out += "}";
+void write_slowest(json::writer& w, const std::vector<slow_flow>& slowest) {
+    w.begin_array();
+    for (const slow_flow& f : slowest) {
+        w.begin_object();
+        w.key("flow").u64(f.flow_id);
+        w.key("elapsed_us").u64(f.elapsed_us);
+        w.end_object();
     }
-    out += "]";
+    w.end_array();
 }
 
 const char* outcome_name(const flow_outcome& o) {
@@ -209,116 +191,83 @@ void fleet_report::finalize() {
 }
 
 std::string fleet_report_json(const fleet_report& report) {
-    std::string out;
-    out.reserve(4096 + report.shards.size() * 512);
-    out += "{\"schema_version\":1,\"kind\":\"fleet_report\",\"digest\":\"";
-    char digest_buf[20];
-    std::snprintf(digest_buf, sizeof digest_buf, "%016" PRIx64,
-                  report.digest());
-    out += digest_buf;
-    out += "\",\"flows\":";
-    append_u64(out, report.flows.size());
-    out += ",\"completed\":";
-    append_u64(out, report.completed);
-    out += ",\"verified\":";
-    append_u64(out, report.verified);
-    out += ",\"failed\":";
-    append_u64(out, report.failed);
-    out += ",\"deadline_exceeded\":";
-    append_u64(out, report.deadline_exceeded);
-    out += ",\"payload_bytes\":";
-    append_u64(out, report.payload_bytes);
-    out += ",\"max_elapsed_us\":";
-    append_u64(out, report.max_elapsed_us);
+    char digest[20];
+    std::snprintf(digest, sizeof digest, "%016" PRIx64, report.digest());
+    json::writer w;
+    w.begin_object();
+    w.key("schema_version").u64(1);
+    w.key("kind").string("fleet_report");
+    w.key("digest").string(digest);
+    w.key("flows").u64(report.flows.size());
+    w.key("completed").u64(report.completed);
+    w.key("verified").u64(report.verified);
+    w.key("failed").u64(report.failed);
+    w.key("deadline_exceeded").u64(report.deadline_exceeded);
+    w.key("payload_bytes").u64(report.payload_bytes);
+    w.key("max_elapsed_us").u64(report.max_elapsed_us);
 
-    out += ",\"sampling\":{\"seed\":";
-    append_u64(out, report.sampler.seed);
-    out += ",\"rate_permyriad\":";
-    append_u64(out, report.sampler.rate_permyriad);
-    out += ",\"sampled_flows\":";
-    append_u64(out, report.trace_sampled);
-    out += ",\"trace_dropped\":";
-    append_u64(out, report.metrics.counter("obs.trace.dropped"));
-    out += "}";
+    w.key("sampling").begin_object();
+    w.key("seed").u64(report.sampler.seed);
+    w.key("rate_permyriad").u64(report.sampler.rate_permyriad);
+    w.key("sampled_flows").u64(report.trace_sampled);
+    w.key("trace_dropped").u64(report.metrics.counter("obs.trace.dropped"));
+    w.end_object();
 
-    out += ",\"latency\":";
-    append_latency(out, report.flow_latency);
-    out += ",\"top_slowest\":";
-    append_slowest(out, report.slowest);
+    w.key("latency");
+    write_latency(w, report.flow_latency);
+    w.key("top_slowest");
+    write_slowest(w, report.slowest);
 
-    out += ",\"shards\":[";
-    for (std::size_t i = 0; i < report.shards.size(); ++i) {
-        const shard_summary& s = report.shards[i];
-        if (i != 0) out += ",";
-        out += "{\"shard\":";
-        append_u64(out, s.shard);
-        out += ",\"flows\":";
-        append_u64(out, s.flows);
-        out += ",\"completed\":";
-        append_u64(out, s.completed);
-        out += ",\"failed\":";
-        append_u64(out, s.failed);
-        out += ",\"fallbacks\":";
-        append_u64(out, s.fallbacks);
-        out += ",\"rekeys\":";
-        append_u64(out, s.rekeys);
-        out += ",\"elapsed_us\":";
-        append_u64(out, s.elapsed_us);
-        out += ",\"latency\":";
-        append_latency(out, s.latency);
-        out += ",\"top_slowest\":";
-        append_slowest(out, s.slowest);
-        out += "}";
+    w.key("shards").begin_array();
+    for (const shard_summary& s : report.shards) {
+        w.begin_object();
+        w.key("shard").u64(s.shard);
+        w.key("flows").u64(s.flows);
+        w.key("completed").u64(s.completed);
+        w.key("failed").u64(s.failed);
+        w.key("fallbacks").u64(s.fallbacks);
+        w.key("rekeys").u64(s.rekeys);
+        w.key("elapsed_us").u64(s.elapsed_us);
+        w.key("latency");
+        write_latency(w, s.latency);
+        w.key("top_slowest");
+        write_slowest(w, s.slowest);
+        w.end_object();
     }
-    out += "]";
+    w.end_array();
 
     // The black boxes: one flight-recorder dump per flow that failed
     // explicitly or was demoted by the legality gate.  Healthy flows keep
     // their recorders private — the dump is the failure-debugging artifact,
     // not a per-flow firehose.
-    out += ",\"black_boxes\":[";
-    bool first = true;
+    w.key("black_boxes").begin_array();
     for (const flow_outcome& o : report.flows) {
         if (!o.failed_explicitly() && !o.composed_fallback) continue;
-        if (!first) out += ",";
-        first = false;
-        out += "{\"flow\":";
-        append_u64(out, o.flow_id);
-        out += ",\"shard\":";
-        append_u64(out, o.shard);
-        out += ",\"outcome\":\"";
-        out += outcome_name(o);
-        out += "\",\"composed_fallback\":";
-        out += o.composed_fallback ? "true" : "false";
-        out += ",\"recorded\":";
-        append_u64(out, o.black_box.recorded());
-        out += ",\"events\":[";
-        const std::vector<obs::flight_entry> entries = o.black_box.entries();
-        for (std::size_t i = 0; i < entries.size(); ++i) {
-            if (i != 0) out += ",";
-            out += "{\"t_us\":";
-            append_u64(out, entries[i].at_us);
-            out += ",\"ev\":\"";
-            out += obs::flight_event_name(entries[i].event);
-            out += "\",\"arg\":";
-            append_u64(out, entries[i].arg);
-            out += "}";
+        w.begin_object();
+        w.key("flow").u64(o.flow_id);
+        w.key("shard").u64(o.shard);
+        w.key("outcome").string(outcome_name(o));
+        w.key("composed_fallback").boolean(o.composed_fallback);
+        w.key("recorded").u64(o.black_box.recorded());
+        w.key("events").begin_array();
+        for (const obs::flight_entry& e : o.black_box.entries()) {
+            w.begin_object();
+            w.key("t_us").u64(e.at_us);
+            w.key("ev").string(obs::flight_event_name(e.event));
+            w.key("arg").u64(e.arg);
+            w.end_object();
         }
-        out += "]}";
+        w.end_array();
+        w.end_object();
     }
-    out += "]}";
-    return out;
+    w.end_array();
+    w.end_object();
+    return w.take();
 }
 
 bool write_fleet_report_json(const fleet_report& report,
                              const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    const std::string json = fleet_report_json(report);
-    const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-    const bool ok = written == json.size() && std::fclose(f) == 0;
-    if (written != json.size()) std::fclose(f);
-    return ok;
+    return json::write_file(path, fleet_report_json(report));
 }
 
 }  // namespace ilp::engine

@@ -1,7 +1,5 @@
 #include "memsim/configs.h"
 
-#include "util/contracts.h"
-
 namespace ilp::memsim {
 
 namespace {
@@ -96,23 +94,6 @@ memory_system_config test_tiny() {
                        .l2_hit_cycles = 0,
                        .memory_cycles = 10,
                        .write_through_cycles = 1}};
-}
-
-memory_system_config config_for_machine(std::string_view machine) {
-    if (machine == "ss10-30") return supersparc_no_l2();
-    if (machine == "ss10-41" || machine == "ss10-51" || machine == "ss20-60")
-        return supersparc_with_l2();
-    if (machine == "axp3000-500") return alpha21064(512 * 1024);
-    if (machine == "axp3000-600" || machine == "axp3000-800")
-        return alpha21064(2 * 1024 * 1024);
-    if (machine == "test-tiny") return test_tiny();
-    ILP_EXPECT(false && "unknown machine name");
-    return test_tiny();  // unreachable
-}
-
-std::vector<std::string_view> known_machines() {
-    return {"ss10-30",     "ss10-41",     "ss10-51",    "ss20-60",
-            "axp3000-500", "axp3000-600", "axp3000-800"};
 }
 
 }  // namespace ilp::memsim

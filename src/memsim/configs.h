@@ -11,9 +11,6 @@
 //     cache, 8 KB instruction cache, 512 KB - 2 MB external B-cache.
 #pragma once
 
-#include <string_view>
-#include <vector>
-
 #include "memsim/memory_system.h"
 
 namespace ilp::memsim {
@@ -30,12 +27,5 @@ memory_system_config alpha21064(std::size_t l2_bytes);
 // A tiny configuration for unit tests (64-byte direct-mapped L1, no L2):
 // small enough that tests can reason about every line.
 memory_system_config test_tiny();
-
-// Look up by machine name ("ss10-30", "axp3000-800", ...); returns the
-// matching config.  Aborts on unknown names (programmer error).
-memory_system_config config_for_machine(std::string_view machine);
-
-// All machine names with a defined configuration, in the paper's order.
-std::vector<std::string_view> known_machines();
 
 }  // namespace ilp::memsim

@@ -1,35 +1,10 @@
 #include "obs/bench_json.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include "util/json.h"
 
 namespace ilp::obs {
 
 namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x",
-                          static_cast<unsigned>(c));
-            out += buf;
-        } else {
-            out.push_back(c);
-        }
-    }
-}
-
-void append_number(std::string& out, double v) {
-    char buf[48];
-    // %.10g keeps integers exact up to 2^33 and round-trips the precision
-    // the diff tool needs without trailing-digit noise.
-    std::snprintf(buf, sizeof buf, "%.10g", v);
-    out += buf;
-}
 
 const char* direction_name(direction d) {
     switch (d) {
@@ -62,91 +37,54 @@ void bench_report::histogram_metric(std::string name, const histogram& h,
 }
 
 std::string bench_report::render() const {
-    std::string out;
-    out += "{\n  \"schema_version\": ";
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%d", bench_schema_version);
-    out += buf;
-    out += ",\n  \"bench\": \"";
-    append_escaped(out, bench_);
-    out += "\",\n  \"meta\": {";
-    for (std::size_t i = 0; i < meta_.size(); ++i) {
-        out += i == 0 ? "\n" : ",\n";
-        out += "    \"";
-        append_escaped(out, meta_[i].first);
-        out += "\": \"";
-        append_escaped(out, meta_[i].second);
-        out += "\"";
+    json::writer w(json::layout::records);
+    w.begin_object();
+    w.key("schema_version").u64(bench_schema_version);
+    w.key("bench").string(bench_);
+    w.key("meta").begin_object();
+    for (const auto& [key, value] : meta_) w.key(key).string(value);
+    w.end_object();
+    w.key("metrics").begin_array();
+    for (const metric_row& m : metrics_) {
+        w.begin_object();
+        w.key("name").string(m.name);
+        w.key("value").number(m.value);
+        w.key("unit").string(m.unit);
+        w.key("better").string(direction_name(m.dir));
+        w.end_object();
     }
-    out += meta_.empty() ? "},\n" : "\n  },\n";
-    out += "  \"metrics\": [";
-    for (std::size_t i = 0; i < metrics_.size(); ++i) {
-        const metric_row& m = metrics_[i];
-        out += i == 0 ? "\n" : ",\n";
-        out += "    {\"name\": \"";
-        append_escaped(out, m.name);
-        out += "\", \"value\": ";
-        append_number(out, m.value);
-        out += ", \"unit\": \"";
-        append_escaped(out, m.unit);
-        out += "\", \"better\": \"";
-        out += direction_name(m.dir);
-        out += "\"}";
-    }
-    out += metrics_.empty() ? "],\n" : "\n  ],\n";
-    out += "  \"histograms\": [";
-    for (std::size_t i = 0; i < histograms_.size(); ++i) {
-        const hist_row& h = histograms_[i];
-        out += i == 0 ? "\n" : ",\n";
-        out += "    {\"name\": \"";
-        append_escaped(out, h.name);
-        out += "\", \"unit\": \"";
-        append_escaped(out, h.unit);
-        out += "\", \"count\": ";
-        append_number(out, static_cast<double>(h.hist.count()));
-        out += ", \"min\": ";
-        append_number(out, static_cast<double>(h.hist.min()));
-        out += ", \"max\": ";
-        append_number(out, static_cast<double>(h.hist.max()));
-        out += ", \"mean\": ";
-        append_number(out, h.hist.mean());
-        out += ", \"p50\": ";
-        append_number(out, h.hist.percentile(50.0));
-        out += ", \"p90\": ";
-        append_number(out, h.hist.percentile(90.0));
-        out += ", \"p99\": ";
-        append_number(out, h.hist.percentile(99.0));
-        out += ", \"buckets\": [";
-        bool first_bucket = true;
+    w.end_array();
+    w.key("histograms").begin_array();
+    for (const hist_row& h : histograms_) {
+        w.begin_object();
+        w.key("name").string(h.name);
+        w.key("unit").string(h.unit);
+        w.key("count").u64(h.hist.count());
+        w.key("min").u64(h.hist.min());
+        w.key("max").u64(h.hist.max());
+        w.key("mean").number(h.hist.mean());
+        w.key("p50").number(h.hist.percentile(50.0));
+        w.key("p90").number(h.hist.percentile(90.0));
+        w.key("p99").number(h.hist.percentile(99.0));
+        w.key("buckets").begin_array();
         for (std::size_t b = 0; b < histogram::bucket_count; ++b) {
             if (h.hist.buckets()[b] == 0) continue;
-            if (!first_bucket) out += ", ";
-            first_bucket = false;
-            out += "[";
-            append_number(out, static_cast<double>(histogram::bucket_lo(b)));
-            out += ", ";
-            append_number(out, static_cast<double>(histogram::bucket_hi(b)));
-            out += ", ";
-            append_number(out, static_cast<double>(h.hist.buckets()[b]));
-            out += "]";
+            w.begin_array();
+            w.u64(histogram::bucket_lo(b));
+            w.u64(histogram::bucket_hi(b));
+            w.u64(h.hist.buckets()[b]);
+            w.end_array();
         }
-        out += "]}";
+        w.end_array();
+        w.end_object();
     }
-    out += histograms_.empty() ? "]\n" : "\n  ]\n";
-    out += "}\n";
-    return out;
+    w.end_array();
+    w.end_object();
+    return w.take();
 }
 
 bool bench_report::write(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    const std::string json = render();
-    const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-    if (written != json.size()) {
-        std::fclose(f);
-        return false;
-    }
-    return std::fclose(f) == 0;
+    return json::write_file(path, render());
 }
 
 }  // namespace ilp::obs

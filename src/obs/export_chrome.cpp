@@ -1,39 +1,12 @@
 #include "obs/export_chrome.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "util/json.h"
+
 namespace ilp::obs {
-
-namespace {
-
-void append_escaped(std::string& out, const char* s) {
-    for (; *s != '\0'; ++s) {
-        const char c = *s;
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x",
-                          static_cast<unsigned>(c));
-            out += buf;
-        } else {
-            out.push_back(c);
-        }
-    }
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-    out += buf;
-}
-
-}  // namespace
 
 std::string chrome_trace_json(const tracer& t, trace_timebase timebase) {
     const std::vector<span> events = t.events();
@@ -51,19 +24,14 @@ std::string chrome_trace_json(const tracer& t, trace_timebase timebase) {
     };
     for (const span& s : events) tid_of(s);
 
-    std::string out;
-    out.reserve(events.size() * 256 + 512);
-    out += "{\"traceEvents\":[";
-    bool first = true;
-
+    json::writer w;
+    w.begin_object().key("traceEvents").begin_array();
     const auto emit_meta = [&](int tid, const std::string& name) {
-        if (!first) out += ",";
-        first = false;
-        out += "{\"ph\":\"M\",\"pid\":1,\"tid\":";
-        append_u64(out, static_cast<std::uint64_t>(tid));
-        out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-        append_escaped(out, name.c_str());
-        out += "\"}}";
+        w.begin_object();
+        w.key("ph").string("M").key("pid").u64(1).key("tid").u64(tid);
+        w.key("name").string("thread_name");
+        w.key("args").begin_object().key("name").string(name).end_object();
+        w.end_object();
     };
     emit_meta(0, "unattributed");
     for (const auto& [side, tid] : tids) emit_meta(tid, side);
@@ -74,78 +42,50 @@ std::string chrome_trace_json(const tracer& t, trace_timebase timebase) {
         const std::uint64_t ts = use_cycles ? s.begin_cycles : s.begin_us;
         const std::uint64_t dur =
             use_cycles ? s.end_cycles - s.begin_cycles : s.end_us - s.begin_us;
-        if (!first) out += ",";
-        first = false;
-        out += "{\"ph\":\"";
-        out += s.kind == event_kind::instant ? "i" : "X";
-        out += "\",\"pid\":1,\"tid\":";
-        append_u64(out, static_cast<std::uint64_t>(tid_of(s)));
-        out += ",\"ts\":";
-        append_u64(out, ts);
+        w.begin_object();
+        w.key("ph").string(s.kind == event_kind::instant ? "i" : "X");
+        w.key("pid").u64(1).key("tid").u64(tid_of(s)).key("ts").u64(ts);
         if (s.kind == event_kind::span) {
-            out += ",\"dur\":";
-            append_u64(out, dur);
+            w.key("dur").u64(dur);
         } else {
-            out += ",\"s\":\"t\"";
+            w.key("s").string("t");
         }
-        out += ",\"cat\":\"";
-        append_escaped(out, s.category);
-        out += "\",\"name\":\"";
-        append_escaped(out, s.name);
-        out += "\",\"args\":{\"seq\":";
-        append_u64(out, s.seq);
+        w.key("cat").string(s.category).key("name").string(s.name);
+        w.key("args").begin_object().key("seq").u64(s.seq);
         // Only flow-scoped spans carry a flow arg, so spans recorded outside
         // any flow (and the golden file) are unchanged.
-        if (s.flow >= 0) {
-            out += ",\"flow\":";
-            append_u64(out, static_cast<std::uint64_t>(s.flow));
-        }
-        out += ",\"depth\":";
-        append_u64(out, s.depth);
-        out += ",\"sim_us\":";
-        append_u64(out, s.begin_us);
-        out += ",\"accesses\":";
-        append_u64(out, s.incl.accesses());
-        out += ",\"l1d_misses\":";
-        append_u64(out, s.incl.l1d_misses);
-        out += ",\"l2_misses\":";
-        append_u64(out, s.incl.l2_misses);
-        out += ",\"cycles\":";
-        append_u64(out, s.incl.cycles);
-        out += ",\"self_accesses\":";
-        append_u64(out, s.self.accesses());
-        out += ",\"self_l1d_misses\":";
-        append_u64(out, s.self.l1d_misses);
-        out += ",\"self_cycles\":";
-        append_u64(out, s.self.cycles);
-        out += "}}";
+        if (s.flow >= 0) w.key("flow").u64(s.flow);
+        w.key("depth").u64(s.depth);
+        w.key("sim_us").u64(s.begin_us);
+        w.key("accesses").u64(s.incl.accesses());
+        w.key("l1d_misses").u64(s.incl.l1d_misses);
+        w.key("l2_misses").u64(s.incl.l2_misses);
+        w.key("cycles").u64(s.incl.cycles);
+        w.key("self_accesses").u64(s.self.accesses());
+        w.key("self_l1d_misses").u64(s.self.l1d_misses);
+        w.key("self_cycles").u64(s.self.cycles);
+        w.end_object().end_object();
     }
-    out += "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"generator\":"
-           "\"ilpstack obs::tracer\",\"timebase\":\"";
-    out += timebase == trace_timebase::cycles ? "cycles" : "sim_us";
-    out += "\",\"dropped_events\":";
-    append_u64(out, t.dropped());
+    w.end_array();
+    w.key("displayTimeUnit").string("ms");
+    w.key("otherData").begin_object();
+    w.key("generator").string("ilpstack obs::tracer");
+    w.key("timebase").string(timebase == trace_timebase::cycles ? "cycles"
+                                                                : "sim_us");
+    w.key("dropped_events").u64(t.dropped());
     // Sampling telemetry only when the sampler actually kept events out, so
     // unsampled traces (and their golden files) render byte-identically.
     if (t.sampled_out() > 0) {
-        out += ",\"sampled_out\":";
-        append_u64(out, t.sampled_out());
-        out += ",\"sampling_rate_permyriad\":";
-        append_u64(out, t.sampler().rate_permyriad);
+        w.key("sampled_out").u64(t.sampled_out());
+        w.key("sampling_rate_permyriad").u64(t.sampler().rate_permyriad);
     }
-    out += "}}";
-    return out;
+    w.end_object().end_object();
+    return w.take();
 }
 
 bool write_chrome_trace(const tracer& t, const std::string& path,
                         trace_timebase timebase) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    const std::string json = chrome_trace_json(t, timebase);
-    const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-    const bool ok = written == json.size() && std::fclose(f) == 0;
-    if (written != json.size()) std::fclose(f);
-    return ok;
+    return json::write_file(path, chrome_trace_json(t, timebase));
 }
 
 }  // namespace ilp::obs

@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 
@@ -107,6 +108,8 @@ private:
         while (!eof()) {
             const char c = text_[pos_++];
             if (c == '"') return out;
+            // RFC 8259: control characters must be escaped.
+            if (static_cast<unsigned char>(c) < 0x20) return std::nullopt;
             if (c != '\\') {
                 out.push_back(c);
                 continue;
@@ -227,6 +230,97 @@ std::optional<value> parse_file(const std::string& path) {
     std::fclose(f);
     if (!ok) return std::nullopt;
     return parse(text);
+}
+
+writer& writer::key(std::string_view k) {
+    string(k);
+    out_ += layout_ == layout::compact ? ":" : ": ";
+    after_key_ = true;
+    return *this;
+}
+
+writer& writer::string(std::string_view s) {
+    separate();
+    out_ += '"';
+    for (const char c : s) {
+        if (c == '"' || c == '\\') {
+            out_ += '\\';
+            out_ += c;
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x",
+                          static_cast<unsigned>(c));
+            out_ += buf;
+        } else {
+            out_ += c;
+        }
+    }
+    out_ += '"';
+    return *this;
+}
+
+writer& writer::u64(std::uint64_t v) {
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "%" PRIu64, v);
+    return raw(buf);
+}
+
+writer& writer::number(double v) {
+    char buf[48];
+    // %.10g keeps integers exact up to 2^33 and round-trips the precision
+    // the diff tool needs without trailing-digit noise.
+    std::snprintf(buf, sizeof buf, "%.10g", v);
+    return raw(buf);
+}
+
+writer& writer::raw(std::string_view token) {
+    separate();
+    out_ += token;
+    return *this;
+}
+
+writer& writer::open(char c) {
+    separate();
+    const bool broken =
+        layout_ == layout::records &&
+        (stack_.empty() || (stack_.back().object && stack_.back().broken));
+    stack_.push_back({c == '{', broken, true});
+    out_ += c;
+    return *this;
+}
+
+writer& writer::close(char c) {
+    const level done = stack_.back();
+    stack_.pop_back();
+    if (done.broken && !done.empty) newline();
+    out_ += c;
+    if (stack_.empty() && layout_ == layout::records) out_ += '\n';
+    return *this;
+}
+
+void writer::separate() {
+    if (after_key_) {
+        after_key_ = false;
+        return;
+    }
+    if (stack_.empty()) return;
+    level& l = stack_.back();
+    if (!l.empty) out_ += layout_ == layout::records && !l.broken ? ", " : ",";
+    if (l.broken) newline();
+    l.empty = false;
+}
+
+void writer::newline() {
+    out_ += '\n';
+    out_.append(2 * stack_.size(), ' ');
+}
+
+bool write_file(const std::string& path, std::string_view text) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) return false;
+    const bool written =
+        std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    return std::fclose(f) == 0 && written;
 }
 
 }  // namespace ilp::json

@@ -1,12 +1,17 @@
-// Minimal JSON parser (no dependencies) for the observability tooling.
+// Minimal JSON reader and writer (no dependencies) for the observability
+// tooling.
 //
 // tools/ilp-trace reads Chrome trace_event files and versioned BENCH JSON
-// baselines; the container ships no JSON library, so this is a small
-// recursive-descent parser over the subset JSON defines: null, booleans,
-// numbers (as double), strings with escape sequences, arrays and objects.
-// It is a *reader* — the exporters in src/obs build their output as text.
+// baselines; the container ships no JSON library, so `parse` is a small
+// recursive-descent parser over what JSON defines: null, booleans, numbers
+// (as double), strings with escape sequences, arrays and objects.
+//
+// `writer` is the one encoder every exporter uses (BENCH reports, Chrome
+// traces, the fleet report, ilp-lint's verdicts), so string escaping and
+// number formatting exist once.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -83,5 +88,57 @@ std::optional<value> parse(std::string_view text);
 
 // Reads a whole file and parses it; nullopt on I/O or syntax error.
 std::optional<value> parse_file(const std::string& path);
+
+// The writer's two fixed layouts.  `compact` has no whitespace at all
+// (Chrome trace, fleet report).  `records` puts one record per line (BENCH
+// and lint reports): the root object, and each object or array that is a
+// member of a line-broken object, put every member on its own line,
+// indented two spaces a level; an array element stays whole on its line
+// with ", " and ": " inside.  A `records` document ends with a newline.
+enum class layout { compact, records };
+
+// Streaming JSON writer; calls chain: w.key("n").u64(3).  Strings escape
+// '"', '\\' and every byte below 0x20 (as a \u00XX escape); other bytes,
+// UTF-8 included, pass through.  The caller balances begin/end and pairs
+// every key with one value.
+class writer {
+public:
+    explicit writer(layout l = layout::compact) : layout_(l) {}
+
+    writer& begin_object() { return open('{'); }
+    writer& end_object() { return close('}'); }
+    writer& begin_array() { return open('['); }
+    writer& end_array() { return close(']'); }
+    writer& key(std::string_view k);
+    writer& string(std::string_view s);
+    writer& u64(std::uint64_t v);
+    writer& number(double v);  // %.10g
+    writer& boolean(bool b) { return raw(b ? "true" : "false"); }
+
+    // The document written so far.
+    const std::string& text() const { return out_; }
+    std::string take() { return std::move(out_); }
+
+private:
+    struct level {
+        bool object;
+        bool broken;  // one member per line
+        bool empty;
+    };
+
+    writer& raw(std::string_view token);
+    writer& open(char c);
+    writer& close(char c);
+    void separate();  // before a key, or a value that follows no key
+    void newline();   // then indent to the current depth
+
+    layout layout_;
+    std::string out_;
+    std::vector<level> stack_;
+    bool after_key_ = false;
+};
+
+// Writes `text` to `path`, replacing it; false on any I/O failure.
+bool write_file(const std::string& path, std::string_view text);
 
 }  // namespace ilp::json

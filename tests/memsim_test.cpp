@@ -1,5 +1,5 @@
 // Unit tests for the memory-system simulator: cache model, hierarchy,
-// access policies and machine configs.
+// access policies.
 #include <gtest/gtest.h>
 
 #include "buffer/byte_buffer.h"
@@ -200,27 +200,6 @@ TEST(MemPolicy, CopyUsesWordAccesses) {
     EXPECT_EQ(sys.data_stats().writes.accesses[size_bucket(8)], 1u);
     EXPECT_EQ(sys.data_stats().writes.accesses[size_bucket(4)], 1u);
     EXPECT_EQ(sys.data_stats().writes.accesses[size_bucket(1)], 2u);
-}
-
-TEST(Configs, KnownMachinesResolve) {
-    for (const auto name : known_machines()) {
-        const memory_system_config cfg = config_for_machine(name);
-        EXPECT_GT(cfg.l1d.size_bytes, 0u) << name;
-        EXPECT_GT(cfg.l1i.size_bytes, 0u) << name;
-    }
-}
-
-TEST(Configs, Ss1030HasNoL2ButOthersDo) {
-    EXPECT_FALSE(config_for_machine("ss10-30").l2.has_value());
-    EXPECT_TRUE(config_for_machine("ss10-41").l2.has_value());
-    EXPECT_TRUE(config_for_machine("axp3000-800").l2.has_value());
-}
-
-TEST(Configs, AlphaHasSmallDirectMappedCaches) {
-    const auto cfg = config_for_machine("axp3000-500");
-    EXPECT_EQ(cfg.l1i.size_bytes, 8u * 1024);
-    EXPECT_EQ(cfg.l1d.size_bytes, 8u * 1024);
-    EXPECT_EQ(cfg.l1i.associativity, 1u);
 }
 
 }  // namespace

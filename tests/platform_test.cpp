@@ -4,7 +4,11 @@
 // anomalies (no-L2 dip, Alpha I-cache, OSF/1 overhead).
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+
 #include "crypto/safer_simplified.h"
+#include "memsim/mem_policy.h"
 #include "platform/estimator.h"
 #include "platform/machines.h"
 
@@ -26,6 +30,27 @@ TEST(Machines, AllSevenDefined) {
         EXPECT_GT(m.clock_mhz, 0);
         EXPECT_GT(m.control_cycles_per_packet, 0);
     }
+}
+
+TEST(Configs, KnownMachinesResolve) {
+    for (const machine_model& m : paper_machines()) {
+        EXPECT_GT(m.memory.l1d.size_bytes, 0u) << m.name;
+        EXPECT_GT(m.memory.l1i.size_bytes, 0u) << m.name;
+    }
+}
+
+TEST(Configs, Ss1030HasNoL2ButOthersDo) {
+    EXPECT_FALSE(machine("ss10-30").memory.l2.has_value());
+    EXPECT_TRUE(machine("ss10-41").memory.l2.has_value());
+    EXPECT_TRUE(machine("axp3000-800").memory.l2.has_value());
+}
+
+TEST(Configs, AlphaHasSmallDirectMappedCaches) {
+    const memsim::memory_system_config cfg = machine("axp3000-500").memory;
+    EXPECT_EQ(cfg.l1i.size_bytes, 8u * 1024);
+    EXPECT_EQ(cfg.l1d.size_bytes, 8u * 1024);
+    EXPECT_EQ(cfg.l1i.associativity, 1u);
+    EXPECT_EQ(cfg.l1d.associativity, 1u);
 }
 
 TEST(Estimator, IlpBeatsLayeredOnEveryMachine) {
@@ -188,27 +213,80 @@ TEST(Estimator, IlpRaisesMissRatioWithTableCipher) {
     EXPECT_GT(ilp.recv_accesses.miss_ratio(), lay.recv_accesses.miss_ratio());
 }
 
+// Streams every load and store into two memory systems at once, so two
+// cache configurations see one transfer's accesses at the same addresses.
+struct tee_memory {
+    memsim::sim_memory first;
+    memsim::sim_memory second;
+
+    std::uint8_t load_u8(const std::byte* p) const {
+        second.load_u8(p);
+        return first.load_u8(p);
+    }
+    std::uint16_t load_u16(const std::byte* p) const {
+        second.load_u16(p);
+        return first.load_u16(p);
+    }
+    std::uint32_t load_u32(const std::byte* p) const {
+        second.load_u32(p);
+        return first.load_u32(p);
+    }
+    std::uint64_t load_u64(const std::byte* p) const {
+        second.load_u64(p);
+        return first.load_u64(p);
+    }
+    void store_u8(std::byte* p, std::uint8_t v) const {
+        second.store_u8(p, v);
+        first.store_u8(p, v);
+    }
+    void store_u16(std::byte* p, std::uint16_t v) const {
+        second.store_u16(p, v);
+        first.store_u16(p, v);
+    }
+    void store_u32(std::byte* p, std::uint32_t v) const {
+        second.store_u32(p, v);
+        first.store_u32(p, v);
+    }
+    void store_u64(std::byte* p, std::uint64_t v) const {
+        second.store_u64(p, v);
+        first.store_u64(p, v);
+    }
+    // The same widths as sim_memory::copy, through the tee.
+    void copy(std::byte* dst, const std::byte* src, std::size_t n) const {
+        std::size_t i = 0;
+        for (; i + 8 <= n; i += 8) store_u64(dst + i, load_u64(src + i));
+        for (; i + 4 <= n; i += 4) store_u32(dst + i, load_u32(src + i));
+        for (; i < n; ++i) store_u8(dst + i, load_u8(src + i));
+    }
+};
+static_assert(memsim::memory_policy<tee_memory>);
+
 TEST(Estimator, SecondLevelCacheAbsorbsRetraversalMisses) {
     // The SS10-30 has no second-level cache (§4.1); when the workload
     // re-reads data that the packet traffic evicted from L1 (a second copy
     // of the same file), the L2 machines absorb those misses while the
-    // SS10-30 pays main memory each time.  Compare raw memory-system cycles
-    // of identical transfers under both cache configurations.
+    // SS10-30 pays main memory each time.  One transfer feeds both cache
+    // configurations, so they see the same addresses and the verdict does
+    // not depend on where the allocator put the buffers.
     engine::flow_config config;
     config.file_bytes = 15 * 1024;
     config.copies = 3;  // copies 2..3 re-read the file buffer
 
     memsim::memory_system no_l2_client(memsim::supersparc_no_l2());
     memsim::memory_system no_l2_server(memsim::supersparc_no_l2());
-    const auto no_l2 = app::run_transfer_simulated<crypto::safer_simplified>(
-        config, no_l2_client, no_l2_server);
-
     memsim::memory_system l2_client(memsim::supersparc_with_l2());
     memsim::memory_system l2_server(memsim::supersparc_with_l2());
-    const auto with_l2 = app::run_transfer_simulated<crypto::safer_simplified>(
-        config, l2_client, l2_server);
+    const auto cipher = engine::make_static_cipher<crypto::safer_simplified>(
+        engine::default_key_seed);
+    const auto result = app::run_transfer(
+        config,
+        tee_memory{memsim::sim_memory(no_l2_client),
+                   memsim::sim_memory(l2_client)},
+        tee_memory{memsim::sim_memory(no_l2_server),
+                   memsim::sim_memory(l2_server)},
+        cipher, cipher);
 
-    ASSERT_TRUE(no_l2.completed && with_l2.completed);
+    ASSERT_TRUE(result.completed);
     // Same access stream...
     EXPECT_EQ(no_l2_server.data_stats().total_accesses(),
               l2_server.data_stats().total_accesses());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -420,6 +421,87 @@ TEST(Json, RejectsMalformedInput) {
     std::string deep;
     for (int i = 0; i < 100; ++i) deep += "[";
     EXPECT_FALSE(json::parse(deep).has_value());  // depth limit
+}
+
+TEST(Json, RejectsRawControlCharactersInStrings) {
+    // RFC 8259: a string holds no unescaped byte below 0x20.
+    EXPECT_FALSE(json::parse("\"line\nbreak\"").has_value());
+    EXPECT_FALSE(json::parse("\"tab\there\"").has_value());
+    EXPECT_FALSE(json::parse("{\"k\x01\": 1}").has_value());
+    EXPECT_EQ(*json::parse(R"("tab\there")")->as_string(), "tab\there");
+}
+
+TEST(JsonWriter, EscapedStringsRoundTrip) {
+    const std::string nasty = "q\" b\\ n\n t\t c\x01 times\xc3\x97";
+    json::writer w;
+    w.begin_object().key(nasty).string(nasty).end_object();
+    for (const char c : w.text()) {
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << w.text();
+    }
+    const auto doc = json::parse(w.text());
+    ASSERT_TRUE(doc.has_value()) << w.text();
+    EXPECT_EQ(doc->string_at(nasty), nasty);
+}
+
+TEST(JsonWriter, CompactLayoutHasNoWhitespace) {
+    json::writer w;
+    w.begin_object();
+    w.key("n").u64(18446744073709551615u);
+    w.key("list").begin_array().boolean(true).string("x").number(0.5);
+    w.end_array();
+    w.key("empty").begin_object().end_object();
+    w.key("third").number(1.0 / 3.0);
+    w.end_object();
+    EXPECT_EQ(w.text(),
+              R"({"n":18446744073709551615,"list":[true,"x",0.5],)"
+              R"("empty":{},"third":0.3333333333})");
+}
+
+TEST(JsonWriter, RecordsLayoutPutsOneRecordPerLine) {
+    json::writer w(json::layout::records);
+    w.begin_object();
+    w.key("n").u64(2);
+    w.key("meta").begin_object().key("k").string("v").end_object();
+    w.key("rows").begin_array();
+    w.begin_object().key("a").u64(1).key("b").begin_array().u64(1).u64(2);
+    w.end_array().end_object();
+    w.begin_object().key("a").u64(2).end_object();
+    w.end_array();
+    w.key("none").begin_array().end_array();
+    // An object member of a line-broken object breaks lines too, so a
+    // report nested in a larger one keeps its one-record-per-line shape.
+    w.key("nested").begin_object().key("rows").begin_array();
+    w.begin_object().key("x").boolean(false).end_object();
+    w.end_array().end_object();
+    w.end_object();
+    EXPECT_EQ(w.text(),
+              "{\n"
+              "  \"n\": 2,\n"
+              "  \"meta\": {\n"
+              "    \"k\": \"v\"\n"
+              "  },\n"
+              "  \"rows\": [\n"
+              "    {\"a\": 1, \"b\": [1, 2]},\n"
+              "    {\"a\": 2}\n"
+              "  ],\n"
+              "  \"none\": [],\n"
+              "  \"nested\": {\n"
+              "    \"rows\": [\n"
+              "      {\"x\": false}\n"
+              "    ]\n"
+              "  }\n"
+              "}\n");
+}
+
+TEST(JsonWriter, WriteFileReplacesTheFile) {
+    const std::string path = ::testing::TempDir() + "/json_writer_test.json";
+    ASSERT_TRUE(json::write_file(path, "[1, 2, 3]"));
+    ASSERT_TRUE(json::write_file(path, "{\"k\": true}"));
+    const auto doc = json::parse_file(path);
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_TRUE(doc->find("k")->as_bool());
+    EXPECT_FALSE(json::write_file(path + ".missing/dir/x.json", "{}"));
+    std::remove(path.c_str());
 }
 
 TEST(Json, LookupFallbacks) {

@@ -21,6 +21,7 @@
 //                        fused and layered — accepted graphs must be
 //                        bit-identical, rejected ones must name their rule
 //                        (with --json, output gains a "compose" section)
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -33,12 +34,7 @@
 #include "app/touch_audits.h"
 #include "core/message_plan.h"
 #include "crypto/safer_k64.h"
-
-// GCC 12 false-positives -Wrestrict on inlined std::string concatenation
-// (gcc bug 105329), same as analysis/diagnostics.cpp.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wrestrict"
-#endif
+#include "util/json.h"
 
 namespace {
 
@@ -48,10 +44,9 @@ using namespace ilp;
 constexpr const char* send_graph_name = "flow/safer-k64/v2/tap-none/send-bca";
 
 void print_inventory(const std::vector<analysis::pipeline_model>& models) {
-    const char* kind_names[] = {"fused", "word_chain", "layered"};
     for (const analysis::pipeline_model& m : models) {
         std::printf("%-24s %-10s Le=%-3zu %s\n", m.name.c_str(),
-                    kind_names[static_cast<int>(m.kind)],
+                    analysis::kind_name(m.kind),
                     m.exchange_unit_bytes, m.site.c_str());
         for (const analysis::footprint& fp : m.stages) {
             std::printf("    %-24s unit=%zu r/w=%zu/%zu align=%zu%s%s%s\n",
@@ -138,56 +133,38 @@ std::vector<analysis::finding> run_audits() {
     return out;
 }
 
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        if (c == '"' || c == '\\') out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
 // Machine-readable form of the composition sweep — the verdict schema CI
 // checks (see README "Composition sweep").
-std::string render_compose_json(const app::compose_sweep_report& rep) {
-    char hashbuf[32];
-    std::string out = "{\n";
-    out += "    \"graphs\": " + std::to_string(rep.cases.size()) + ",\n";
-    out += "    \"accepted\": " + std::to_string(rep.accepted) + ",\n";
-    out += "    \"rejected\": " + std::to_string(rep.rejected) + ",\n";
-    out += "    \"executed\": " + std::to_string(rep.executed) + ",\n";
-    out += "    \"miscomputations\": " + std::to_string(rep.miscomputations) +
-           ",\n";
-    out += "    \"unexplained_rejections\": " +
-           std::to_string(rep.unexplained_rejections) + ",\n";
-    out += std::string("    \"ok\": ") + (rep.ok() ? "true" : "false") +
-           ",\n    \"cases\": [\n";
-    for (std::size_t i = 0; i < rep.cases.size(); ++i) {
-        const app::compose_case& c = rep.cases[i];
-        std::snprintf(hashbuf, sizeof hashbuf, "%016llx",
-                      static_cast<unsigned long long>(c.hash));
-        out += "      {\"name\": \"" + json_escape(c.name) + "\", ";
-        out += std::string("\"hash\": \"") + hashbuf + "\", ";
-        out += std::string("\"legal\": ") + (c.legal ? "true" : "false") +
-               ", ";
-        out += "\"rule\": \"" + json_escape(c.rule) + "\", ";
-        out += "\"offender\": \"" + json_escape(c.offender) + "\", ";
-        out += std::string("\"executed\": ") +
-               (c.executed ? "true" : "false") + ", ";
-        out += std::string("\"outputs_match\": ") +
-               (c.outputs_match ? "true" : "false") + ", ";
-        out += std::string("\"taps_match\": ") +
-               (c.taps_match ? "true" : "false") + ", ";
-        out += std::string("\"mismatch_expected\": ") +
-               (c.mismatch_expected ? "true" : "false") + ", ";
-        out += std::string("\"ok\": ") + (c.ok ? "true" : "false") + ", ";
-        out += "\"status\": \"" + json_escape(c.status) + "\"}";
-        if (i + 1 < rep.cases.size()) out += ",";
-        out += "\n";
+void write_compose_json(json::writer& w,
+                        const app::compose_sweep_report& rep) {
+    w.begin_object();
+    w.key("graphs").u64(rep.cases.size());
+    w.key("accepted").u64(rep.accepted);
+    w.key("rejected").u64(rep.rejected);
+    w.key("executed").u64(rep.executed);
+    w.key("miscomputations").u64(rep.miscomputations);
+    w.key("unexplained_rejections").u64(rep.unexplained_rejections);
+    w.key("ok").boolean(rep.ok());
+    w.key("cases").begin_array();
+    for (const app::compose_case& c : rep.cases) {
+        char hash[20];
+        std::snprintf(hash, sizeof hash, "%016" PRIx64, c.hash);
+        w.begin_object();
+        w.key("name").string(c.name);
+        w.key("hash").string(hash);
+        w.key("legal").boolean(c.legal);
+        w.key("rule").string(c.rule);
+        w.key("offender").string(c.offender);
+        w.key("executed").boolean(c.executed);
+        w.key("outputs_match").boolean(c.outputs_match);
+        w.key("taps_match").boolean(c.taps_match);
+        w.key("mismatch_expected").boolean(c.mismatch_expected);
+        w.key("ok").boolean(c.ok);
+        w.key("status").string(c.status);
+        w.end_object();
     }
-    out += "    ]\n  }";
-    return out;
+    w.end_array();
+    w.end_object();
 }
 
 void print_compose_text(const app::compose_sweep_report& rep) {
@@ -262,13 +239,17 @@ int main(int argc, char** argv) {
 
     std::size_t errors = 0;
     if (json) {
-        std::string doc = render_json(models, findings);
+        json::writer w(json::layout::records);
         if (compose) {
-            // Wrap: {"lint": <inventory doc>, "compose": <sweep doc>}.
-            doc = "{\n  \"lint\": " + doc + ",\n  \"compose\": " +
-                  render_compose_json(compose_report) + "\n}";
+            w.begin_object().key("lint");
+            analysis::write_json(w, models, findings);
+            w.key("compose");
+            write_compose_json(w, compose_report);
+            w.end_object();
+        } else {
+            analysis::write_json(w, models, findings);
         }
-        std::fputs(doc.c_str(), stdout);
+        std::fputs(w.text().c_str(), stdout);
         std::fputc('\n', stdout);
         for (const analysis::finding& f : findings) {
             if (f.sev == analysis::severity::error) ++errors;
