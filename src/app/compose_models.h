@@ -4,10 +4,11 @@
 // (cipher, wire framing, optional observation tap, side), described as an
 // analysis::stage_graph, and handed to analysis::legality_gate before any
 // fused loop runs.  This header builds those graphs.  The same builders
-// drive the `ilp-lint --compose` sweep, so the graph the engine gates is
-// byte-for-byte the graph CI verified differentially.  pipeline_inventory()
-// adds the compositions the stack compiles in, so `ilp-lint` checks every
-// pipeline through the one composer.
+// drive the `ilp-lint --compose` sweep, whose differential executes each
+// graph's own nodes and parts in the graph's order (app::run_differential),
+// so the graph the engine gates is byte-for-byte the graph CI verified
+// differentially.  pipeline_inventory() adds the compositions the stack
+// compiles in, so `ilp-lint` checks every pipeline through the one composer.
 #pragma once
 
 #include <cstdint>

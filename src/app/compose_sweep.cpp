@@ -1,10 +1,11 @@
 #include "app/compose_sweep.h"
 
+#include <algorithm>
 #include <array>
-#include <cstring>
 #include <functional>
-#include <optional>
 #include <span>
+#include <string_view>
+#include <tuple>
 
 #include "analysis/compose.h"
 #include "app/compose_models.h"
@@ -13,6 +14,7 @@
 #include "core/layered_path.h"
 #include "core/word_filter.h"
 #include "memsim/mem_policy.h"
+#include "util/rng.h"
 
 namespace ilp::app {
 
@@ -20,379 +22,149 @@ namespace {
 
 using mem_t = memsim::direct_memory;
 
-// Deterministic pseudo-random bytes (xorshift) — no global entropy, so the
-// sweep is reproducible run to run.
-std::vector<std::byte> make_bytes(std::size_t n, std::uint64_t seed) {
-    std::vector<std::byte> v(n);
-    std::uint64_t x = seed * 0x9e3779b97f4a7c15ull + 0x2545f4914f6cdd1dull;
-    for (std::byte& b : v) {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        b = static_cast<std::byte>(x & 0xffu);
-    }
-    return v;
-}
-
 template <typename Cipher>
 Cipher make_cipher() {
     if constexpr (std::is_same_v<Cipher, crypto::null_cipher>) {
         return crypto::null_cipher{};
     } else {
-        const std::vector<std::byte> key =
-            make_bytes(Cipher::key_bytes, 0xC0FFEEull);
+        std::vector<std::byte> key;
+        if constexpr (std::is_same_v<Cipher, crypto::rc4>) {
+            key.resize(16);
+        } else {
+            key.resize(Cipher::key_bytes);
+        }
+        rng(0xC0FFEEull).fill(key);
         return Cipher{std::span<const std::byte>(key)};
     }
 }
 
-// Every observable the two executions must agree on.
-struct tap_values {
-    std::uint16_t inet8 = 0;  // always-on TCP checksum tap
-    std::uint16_t inet2 = 0;  // optional 2-byte-unit tap
-    std::uint32_t crc = 0;    // optional CRC-32 tap
-    std::uint32_t tag = 0;    // AEAD tag (secure v3 runs)
-};
-
-struct exec_result {
-    bool outputs_match = false;
-    bool taps_match = false;
-};
-
-// Holds AEAD stage slots only when the cipher supports them — naming
-// aead_*_stage<Cipher> for a non-AEAD cipher would violate its constraint.
-template <typename Cipher, bool = crypto::aead_capable<Cipher>>
-struct aead_stage_slots {
-    std::optional<core::aead_encrypt_stage<Cipher>> enc;
-    std::optional<core::aead_decrypt_stage<Cipher>> dec;
-};
+// Every stage a flow graph's node can name for this cipher.
 template <typename Cipher>
-struct aead_stage_slots<Cipher, false> {};
-
-bool taps_agree(const tap_values& f, const tap_values& l, compose_tap tap,
-                bool aead) {
-    bool t = f.inet8 == l.inet8;
-    if (tap == compose_tap::inet2) t = t && f.inet2 == l.inet2;
-    if (tap == compose_tap::crc32) t = t && f.crc == l.crc;
-    if (aead) t = t && f.tag == l.tag;
-    return t;
+auto make_stages(Cipher& cipher, checksum::inet_accumulator& acc8,
+                 checksum::inet_accumulator& acc2, checksum::crc32& crc,
+                 crypto::aead_tag_accumulator& tag) {
+    std::tuple taps{core::checksum_tap8(acc8), core::checksum_tap2(acc2),
+                    core::crc32_tap(crc)};
+    if constexpr (std::is_same_v<Cipher, crypto::rc4>) {
+        return std::tuple_cat(taps, std::tuple{crypto::rc4_stage(cipher)});
+    } else if constexpr (crypto::aead_capable<Cipher>) {
+        return std::tuple_cat(
+            taps, std::tuple{core::encrypt_stage<Cipher>(cipher),
+                             core::decrypt_stage<Cipher>(cipher),
+                             core::aead_encrypt_stage<Cipher>(cipher, tag),
+                             core::aead_decrypt_stage<Cipher>(cipher, tag)});
+    } else {
+        return std::tuple_cat(
+            taps, std::tuple{core::encrypt_stage<Cipher>(cipher),
+                             core::decrypt_stage<Cipher>(cipher)});
+    }
 }
 
-// One differential run of a block-stage composition.  The fused side drives
-// a dynamic_pipeline (the runtime-assembled analogue of the fused loop) over
-// the message parts in the composed schedule; the layered side applies each
-// stage as a full linear pass over its own copy — the reference a correct
-// fusion must be bit-identical to.
-template <crypto::block_cipher Cipher>
-exec_result execute_block_case(const Cipher& cipher, bool secure,
-                               compose_tap tap, compose_schedule sched) {
+// The concrete stages a graph's nodes bind to, by footprint name, and the
+// state they feed.  Each side of a differential run builds its own set, so
+// the RC4 keystream and the AEAD tag start afresh on both.
+template <typename Cipher>
+struct stage_set {
+    Cipher cipher = make_cipher<Cipher>();
+    checksum::inet_accumulator acc8;
+    checksum::inet_accumulator acc2;
+    checksum::crc32 crc;
+    crypto::aead_tag_accumulator tag;
+    decltype(make_stages(cipher, acc8, acc2, crc, tag)) stages =
+        make_stages(cipher, acc8, acc2, crc, tag);
+
+    stage_set() = default;
+    stage_set(const stage_set&) = delete;  // the stages point into *this
+    stage_set& operator=(const stage_set&) = delete;
+
+    // Calls `use` on the stage whose footprint is named `name`; false when
+    // the set has no such stage.
+    template <typename F>
+    bool bind(std::string_view name, F&& use) {
+        return std::apply(
+            [&](auto&... s) {
+                return ((name == s.footprint_decl.name && (use(s), true)) ||
+                        ...);
+            },
+            stages);
+    }
+
+    compose_taps taps() const {
+        return {acc8.folded(), acc2.folded(), crc.value(), tag.fold()};
+    }
+};
+
+}  // namespace
+
+template <typename Cipher>
+differential_run run_differential(const analysis::stage_graph& g) {
     mem_t mem;
-    const core::message_plan plan = core::plan_parts(compose_marshalled_bytes);
-    const std::vector<std::byte> input = make_bytes(plan.total_bytes, 7);
-    std::vector<std::byte> fused_out(plan.total_bytes);
-    std::vector<std::byte> layered_out(plan.total_bytes);
-    const bool decrypting = sched == compose_schedule::receive;
-    tap_values f;
-    tap_values l;
+    std::size_t bytes = 0;
+    for (const analysis::part_info& p : g.parts) {
+        bytes = std::max(bytes, p.offset + p.len);
+    }
+    std::vector<std::byte> input(bytes);
+    rng(7).fill(input);
+    std::vector<std::byte> fused_out(bytes);
+    std::vector<std::byte> layered_out = input;
+    differential_run r;
 
-    {
-        checksum::inet_accumulator acc8;
-        checksum::inet_accumulator acc2;
-        checksum::crc32 crc;
-        crypto::aead_tag_accumulator tag;
-        core::checksum_tap8 tap8(acc8);
-        core::checksum_tap2 tap2(acc2);
-        core::crc32_tap crct(crc);
-        core::encrypt_stage<Cipher> enc(cipher);
-        core::decrypt_stage<Cipher> dec(cipher);
-        aead_stage_slots<Cipher> aead;
-        core::dynamic_pipeline<mem_t> pipe;
-        const auto add_cipher_stage = [&] {
-            if constexpr (crypto::aead_capable<Cipher>) {
-                if (secure) {
-                    if (decrypting) {
-                        aead.dec.emplace(cipher, tag);
-                        pipe.add_stage(*aead.dec);
-                    } else {
-                        aead.enc.emplace(cipher, tag);
-                        pipe.add_stage(*aead.enc);
-                    }
-                    return;
-                }
-            }
-            if (decrypting) {
-                pipe.add_stage(dec);
-            } else {
-                pipe.add_stage(enc);
-            }
-        };
-        if (decrypting) {
-            pipe.add_stage(tap8);
-            add_cipher_stage();
-        } else {
-            add_cipher_stage();
-            pipe.add_stage(tap8);
+    stage_set<Cipher> fused;
+    core::dynamic_pipeline<mem_t> pipe;
+    for (const analysis::block_node& n : g.nodes) {
+        if (!fused.bind(n.fp.name, [&](auto& s) { pipe.add_stage(s); })) {
+            return r;  // a node with no stage to run fails the run
         }
-        if (tap == compose_tap::inet2) pipe.add_stage(tap2);
-        if (tap == compose_tap::crc32) pipe.add_stage(crct);
-
-        const auto parts = sched == compose_schedule::send_bca
-                               ? plan.ilp_order()
-                               : plan.linear_order();
-        for (const core::message_part& p : parts) {
-            if (p.empty()) continue;
-            pipe.run(mem,
-                     core::span_source(std::span<const std::byte>(input)
-                                           .subspan(p.offset, p.len)),
-                     core::span_dest(std::span<std::byte>(fused_out)
-                                         .subspan(p.offset, p.len)));
-        }
-        f = {acc8.folded(), acc2.folded(), crc.value(), tag.fold()};
+    }
+    for (const analysis::part_info& p : g.parts) {
+        pipe.run(mem,
+                 core::span_source(std::span<const std::byte>(input).subspan(
+                     p.offset, p.len)),
+                 core::span_dest(std::span<std::byte>(fused_out).subspan(
+                     p.offset, p.len)));
     }
 
-    {
-        std::memcpy(layered_out.data(), input.data(), input.size());
-        const std::span<std::byte> buf(layered_out);
-        checksum::inet_accumulator acc8;
-        checksum::inet_accumulator acc2;
-        checksum::crc32 crc;
-        crypto::aead_tag_accumulator tag;
-        const auto tap8_pass = [&] {
-            core::checksum_tap8 t(acc8);
-            core::apply_stage_in_place(mem, t, buf);
-        };
-        const auto cipher_pass = [&] {
-            if constexpr (crypto::aead_capable<Cipher>) {
-                if (secure) {
-                    if (decrypting) {
-                        core::aead_decrypt_stage<Cipher> s(cipher, tag);
-                        core::apply_stage_in_place(mem, s, buf);
-                    } else {
-                        core::aead_encrypt_stage<Cipher> s(cipher, tag);
-                        core::apply_stage_in_place(mem, s, buf);
-                    }
-                    return;
-                }
-            }
-            if (decrypting) {
-                core::decrypt_stage<Cipher> s(cipher);
-                core::apply_stage_in_place(mem, s, buf);
-            } else {
-                core::encrypt_stage<Cipher> s(cipher);
-                core::apply_stage_in_place(mem, s, buf);
-            }
-        };
-        if (decrypting) {
-            tap8_pass();
-            cipher_pass();
-        } else {
-            cipher_pass();
-            tap8_pass();
-        }
-        if (tap == compose_tap::inet2) {
-            core::checksum_tap2 t(acc2);
-            core::apply_stage_in_place(mem, t, buf);
-        }
-        if (tap == compose_tap::crc32) {
-            core::crc32_tap t(crc);
-            core::apply_stage_in_place(mem, t, buf);
-        }
-        l = {acc8.folded(), acc2.folded(), crc.value(), tag.fold()};
-    }
-
-    exec_result r;
-    r.outputs_match = fused_out == layered_out;
-    r.taps_match =
-        taps_agree(f, l, tap,
-                   secure && crypto::aead_capable<Cipher>);
-    return r;
-}
-
-// rc4 is stateful (keystream position), so each execution gets its own
-// instance keyed identically; the fused side consumes keystream in part
-// order, the layered side strictly linearly — which is exactly the R1
-// divergence on the B,C,A schedule.
-exec_result execute_rc4_case(compose_tap tap, compose_schedule sched) {
-    mem_t mem;
-    const core::message_plan plan = core::plan_parts(compose_marshalled_bytes);
-    const std::vector<std::byte> input = make_bytes(plan.total_bytes, 7);
-    const std::vector<std::byte> key = make_bytes(16, 0xC0FFEEull);
-    std::vector<std::byte> fused_out(plan.total_bytes);
-    std::vector<std::byte> layered_out(plan.total_bytes);
-    const bool decrypting = sched == compose_schedule::receive;
-    tap_values f;
-    tap_values l;
-
-    {
-        checksum::inet_accumulator acc8;
-        checksum::inet_accumulator acc2;
-        checksum::crc32 crc;
-        crypto::rc4 stream{std::span<const std::byte>(key)};
-        crypto::rc4_stage rcs(stream);
-        core::checksum_tap8 tap8(acc8);
-        core::checksum_tap2 tap2(acc2);
-        core::crc32_tap crct(crc);
-        core::dynamic_pipeline<mem_t> pipe;
-        if (decrypting) {
-            pipe.add_stage(tap8);
-            pipe.add_stage(rcs);
-        } else {
-            pipe.add_stage(rcs);
-            pipe.add_stage(tap8);
-        }
-        if (tap == compose_tap::inet2) pipe.add_stage(tap2);
-        if (tap == compose_tap::crc32) pipe.add_stage(crct);
-        const auto parts = sched == compose_schedule::send_bca
-                               ? plan.ilp_order()
-                               : plan.linear_order();
-        for (const core::message_part& p : parts) {
-            if (p.empty()) continue;
-            pipe.run(mem,
-                     core::span_source(std::span<const std::byte>(input)
-                                           .subspan(p.offset, p.len)),
-                     core::span_dest(std::span<std::byte>(fused_out)
-                                         .subspan(p.offset, p.len)));
-        }
-        f = {acc8.folded(), acc2.folded(), crc.value(), 0};
-    }
-
-    {
-        std::memcpy(layered_out.data(), input.data(), input.size());
-        const std::span<std::byte> buf(layered_out);
-        checksum::inet_accumulator acc8;
-        checksum::inet_accumulator acc2;
-        checksum::crc32 crc;
-        crypto::rc4 stream{std::span<const std::byte>(key)};
-        crypto::rc4_stage rcs(stream);
-        core::checksum_tap8 tap8(acc8);
-        if (decrypting) {
-            core::apply_stage_in_place(mem, tap8, buf);
-            core::apply_stage_in_place(mem, rcs, buf);
-        } else {
-            core::apply_stage_in_place(mem, rcs, buf);
-            core::apply_stage_in_place(mem, tap8, buf);
-        }
-        if (tap == compose_tap::inet2) {
-            core::checksum_tap2 t(acc2);
-            core::apply_stage_in_place(mem, t, buf);
-        }
-        if (tap == compose_tap::crc32) {
-            core::crc32_tap t(crc);
-            core::apply_stage_in_place(mem, t, buf);
-        }
-        l = {acc8.folded(), acc2.folded(), crc.value(), 0};
-    }
-
-    exec_result r;
-    r.outputs_match = fused_out == layered_out;
-    r.taps_match = taps_agree(f, l, tap, false);
-    return r;
-}
-
-// ---------------------------------------------------------------------------
-// Word-filter chains (Abbott & Peterson shape)
-
-constexpr std::size_t word_case_bytes = 1024;
-
-template <crypto::block_cipher Cipher>
-analysis::stage_graph word_chain_graph(const Cipher& cipher, bool with_xdr,
-                                       bool encrypting) {
-    // Throwaway chain, assembled only so the graph carries the *live*
-    // footprint declarations (the word-filter footprints are virtual).
-    checksum::inet_accumulator acc;
-    std::vector<std::byte> dummy(word_case_bytes);
-    core::xdr_word_filter<mem_t> xdr;
-    core::cipher_word_filter<mem_t, Cipher, true> enc(cipher);
-    core::cipher_word_filter<mem_t, Cipher, false> dec(cipher);
-    core::checksum_word_filter<mem_t> ck(acc);
-    core::sink_word_filter<mem_t> sink(dummy);
-    core::word_filter<mem_t>* cipher_f =
-        encrypting ? static_cast<core::word_filter<mem_t>*>(&enc) : &dec;
-    core::word_filter<mem_t>* head = cipher_f;
-    if (with_xdr) {
-        xdr.set_next(cipher_f);
-        head = &xdr;
-    }
-    cipher_f->set_next(&ck);
-    ck.set_next(&sink);
-
-    analysis::stage_graph g;
-    g.name = std::string("word/") + cipher_label<Cipher>() +
-             (with_xdr ? "/xdr" : "") + (encrypting ? "/encrypt" : "/decrypt");
-    g.site = "src/app/compose_sweep.cpp:word_chain_graph";
-    g.side = encrypting ? analysis::graph_side::send
-                        : analysis::graph_side::receive;
-    g.kind = analysis::pipeline_kind::word_chain;
-    g.parts = {{0, word_case_bytes}};
-    for (const analysis::footprint& fp : core::chain_footprints(*head)) {
-        g.nodes.push_back({fp, 0});
-    }
-    return g;
-}
-
-template <crypto::block_cipher Cipher>
-exec_result execute_word_case(const Cipher& cipher, bool with_xdr,
-                              bool encrypting) {
-    mem_t mem;
-    const std::vector<std::byte> input = make_bytes(word_case_bytes, 11);
-    std::vector<std::byte> chain_out(word_case_bytes);
-    std::vector<std::byte> layered_out(word_case_bytes);
-    tap_values f;
-    tap_values l;
-
-    {
-        checksum::inet_accumulator acc;
-        core::xdr_word_filter<mem_t> xdr;
-        core::cipher_word_filter<mem_t, Cipher, true> enc(cipher);
-        core::cipher_word_filter<mem_t, Cipher, false> dec(cipher);
-        core::checksum_word_filter<mem_t> ck(acc);
-        core::sink_word_filter<mem_t> sink(chain_out);
-        core::word_filter<mem_t>* cipher_f =
-            encrypting ? static_cast<core::word_filter<mem_t>*>(&enc) : &dec;
-        core::word_filter<mem_t>* head = cipher_f;
-        if (with_xdr) {
-            xdr.set_next(cipher_f);
-            head = &xdr;
-        }
-        cipher_f->set_next(&ck);
-        ck.set_next(&sink);
-        core::feed_words(mem, *head, input);
-        if (sink.bytes_written() != word_case_bytes) {
-            return {};  // chain lost words: unconditional mismatch
-        }
-        f.inet8 = acc.folded();
-    }
-
-    {
-        std::memcpy(layered_out.data(), input.data(), input.size());
-        const std::span<std::byte> buf(layered_out);
-        checksum::inet_accumulator acc;
-        if (with_xdr) {
-            core::xdr_encode_stage x;
-            core::apply_stage_in_place(mem, x, buf);
-        }
-        if (encrypting) {
-            core::encrypt_stage<Cipher> s(cipher);
+    // The reference stays independent of dynamic_pipeline: each node's
+    // stage is its own linear pass over the whole message (every name
+    // bound above, so none fails here).
+    stage_set<Cipher> layered;
+    const std::span<std::byte> buf(layered_out);
+    for (const analysis::block_node& n : g.nodes) {
+        layered.bind(n.fp.name, [&](auto& s) {
             core::apply_stage_in_place(mem, s, buf);
-        } else {
-            core::decrypt_stage<Cipher> s(cipher);
-            core::apply_stage_in_place(mem, s, buf);
-        }
-        core::checksum_pass(mem, acc, buf, 8);
-        l.inet8 = acc.folded();
+        });
     }
 
-    exec_result r;
-    r.outputs_match = chain_out == layered_out;
-    r.taps_match = f.inet8 == l.inet8;
+    r.fused = fused.taps();
+    r.layered = layered.taps();
+    r.outputs_match = fused_out == layered_out;
+    r.taps_match = r.fused == r.layered;
     return r;
 }
+
+template differential_run run_differential<crypto::null_cipher>(
+    const analysis::stage_graph&);
+template differential_run run_differential<crypto::simple_cipher>(
+    const analysis::stage_graph&);
+template differential_run run_differential<crypto::safer_simplified>(
+    const analysis::stage_graph&);
+template differential_run run_differential<crypto::safer_k64>(
+    const analysis::stage_graph&);
+template differential_run run_differential<crypto::des>(
+    const analysis::stage_graph&);
+template differential_run run_differential<crypto::aead_cipher>(
+    const analysis::stage_graph&);
+template differential_run run_differential<crypto::rc4>(
+    const analysis::stage_graph&);
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // Classification: hold each verdict to the differential truth.
 
 void record_case(compose_sweep_report& rep, const analysis::stage_graph& g,
                  bool expect_r1, bool expect_r2,
-                 const std::function<exec_result()>& exec) {
+                 const std::function<differential_run()>& exec) {
     const analysis::verdict v = analysis::compose_and_check(g);
     compose_case c;
     c.name = g.name;
@@ -425,7 +197,7 @@ void record_case(compose_sweep_report& rep, const analysis::stage_graph& g,
         } else if (expect_r1) {
             // R1 graphs are executable — run them and require the predicted
             // out-of-order divergence to actually appear.
-            const exec_result r = exec();
+            const differential_run r = exec();
             c.executed = true;
             ++rep.executed;
             c.outputs_match = r.outputs_match;
@@ -450,7 +222,7 @@ void record_case(compose_sweep_report& rep, const analysis::stage_graph& g,
         }
     } else {
         ++rep.accepted;
-        const exec_result r = exec();
+        const differential_run r = exec();
         c.executed = true;
         ++rep.executed;
         c.outputs_match = r.outputs_match;
@@ -476,8 +248,7 @@ constexpr std::array<compose_tap, 3> all_taps = {
     compose_tap::none, compose_tap::inet2, compose_tap::crc32};
 
 template <typename Cipher>
-void sweep_block_family(compose_sweep_report& rep) {
-    const Cipher cipher = make_cipher<Cipher>();
+void sweep_flow_family(compose_sweep_report& rep) {
     for (int framing = 0; framing < 2; ++framing) {
         const bool v3 = framing == 1;
         secure_params params;
@@ -487,69 +258,114 @@ void sweep_block_family(compose_sweep_report& rep) {
             for (const compose_tap tap : all_taps) {
                 const analysis::stage_graph g =
                     flow_graph<Cipher>(params, tap, sched, 0);
-                const bool r1 = sched == compose_schedule::send_bca &&
-                                tap == compose_tap::crc32;
-                const bool r2 = v3 && !crypto::aead_capable<Cipher>;
-                const bool secure_exec = v3 && crypto::aead_capable<Cipher>;
-                record_case(rep, g, r1, r2, [&] {
-                    return execute_block_case(cipher, secure_exec, tap,
-                                              sched);
-                });
-            }
-        }
-    }
-}
-
-void sweep_rc4_family(compose_sweep_report& rep) {
-    for (int framing = 0; framing < 2; ++framing) {
-        const bool v3 = framing == 1;
-        secure_params params;
-        params.enabled = v3;
-        params.flow_secret = 0x5ec0u;
-        for (const compose_schedule sched : all_schedules) {
-            for (const compose_tap tap : all_taps) {
-                const analysis::stage_graph g =
-                    flow_graph<crypto::rc4>(params, tap, sched, 0);
                 // rc4 itself is ordering-constrained, so *any* B,C,A
                 // schedule is an R1 rejection regardless of tap.
-                const bool r1 = sched == compose_schedule::send_bca;
-                const bool r2 = v3;  // stream cipher fills no trailer
+                const bool r1 =
+                    sched == compose_schedule::send_bca &&
+                    (std::is_same_v<Cipher, crypto::rc4> ||
+                     tap == compose_tap::crc32);
+                // Only an AEAD cipher fills the v3 trailer reservation.
+                const bool r2 = v3 && !crypto::aead_capable<Cipher>;
                 record_case(rep, g, r1, r2,
-                            [&] { return execute_rc4_case(tap, sched); });
+                            [&] { return run_differential<Cipher>(g); });
             }
         }
     }
 }
 
-template <typename Cipher>
+// ---------------------------------------------------------------------------
+// Word-filter chains (Abbott & Peterson shape)
+
+constexpr std::size_t word_case_bytes = 1024;
+
+// One chain case.  The graph's nodes are the footprints of the very chain
+// the differential then drives, so the two cannot drift apart; the layered
+// reference is the equivalent block stages as linear passes.
+template <crypto::block_cipher Cipher>
+void sweep_word_case(compose_sweep_report& rep, const Cipher& cipher,
+                     bool with_xdr, bool encrypting) {
+    std::vector<std::byte> chain_out(word_case_bytes);
+    checksum::inet_accumulator acc;
+    core::xdr_word_filter<mem_t> xdr;
+    core::cipher_word_filter<mem_t, Cipher, true> enc(cipher);
+    core::cipher_word_filter<mem_t, Cipher, false> dec(cipher);
+    core::checksum_word_filter<mem_t> ck(acc);
+    core::sink_word_filter<mem_t> sink(chain_out);
+    core::word_filter<mem_t>* cipher_f =
+        encrypting ? static_cast<core::word_filter<mem_t>*>(&enc) : &dec;
+    core::word_filter<mem_t>* head = cipher_f;
+    if (with_xdr) {
+        xdr.set_next(cipher_f);
+        head = &xdr;
+    }
+    cipher_f->set_next(&ck);
+    ck.set_next(&sink);
+
+    analysis::stage_graph g;
+    g.name = std::string("word/") + cipher_label<Cipher>() +
+             (with_xdr ? "/xdr" : "") + (encrypting ? "/encrypt" : "/decrypt");
+    g.site = "src/app/compose_sweep.cpp:sweep_word_case";
+    g.side = encrypting ? analysis::graph_side::send
+                        : analysis::graph_side::receive;
+    g.kind = analysis::pipeline_kind::word_chain;
+    g.parts = {{0, word_case_bytes}};
+    for (const analysis::footprint& fp : core::chain_footprints(*head)) {
+        g.nodes.push_back({fp, 0});
+    }
+
+    record_case(rep, g, false, false, [&] {
+        mem_t mem;
+        std::vector<std::byte> input(word_case_bytes);
+        rng(11).fill(input);
+        differential_run r;
+        core::feed_words(mem, *head, input);
+        if (sink.bytes_written() != word_case_bytes) {
+            return r;  // chain lost words: unconditional mismatch
+        }
+        r.fused.inet8 = acc.folded();
+
+        std::vector<std::byte> layered_out = input;
+        const std::span<std::byte> buf(layered_out);
+        checksum::inet_accumulator ref;
+        if (with_xdr) {
+            core::xdr_encode_stage x;
+            core::apply_stage_in_place(mem, x, buf);
+        }
+        if (encrypting) {
+            core::encrypt_stage<Cipher> s(cipher);
+            core::apply_stage_in_place(mem, s, buf);
+        } else {
+            core::decrypt_stage<Cipher> s(cipher);
+            core::apply_stage_in_place(mem, s, buf);
+        }
+        core::checksum_pass(mem, ref, buf, 8);
+        r.layered.inet8 = ref.folded();
+
+        r.outputs_match = chain_out == layered_out;
+        r.taps_match = r.fused == r.layered;
+        return r;
+    });
+}
+
+template <crypto::block_cipher Cipher>
 void sweep_word_family(compose_sweep_report& rep) {
     const Cipher cipher = make_cipher<Cipher>();
-    struct variant {
-        bool with_xdr;
-        bool encrypting;
-    };
-    constexpr std::array<variant, 3> variants = {
-        variant{false, true}, variant{true, true}, variant{false, false}};
-    for (const variant& var : variants) {
-        const analysis::stage_graph g =
-            word_chain_graph(cipher, var.with_xdr, var.encrypting);
-        record_case(rep, g, false, false, [&] {
-            return execute_word_case(cipher, var.with_xdr, var.encrypting);
-        });
-    }
+    sweep_word_case(rep, cipher, false, true);
+    sweep_word_case(rep, cipher, true, true);
+    sweep_word_case(rep, cipher, false, false);
 }
 
 }  // namespace
 
 compose_sweep_report run_compose_sweep() {
     compose_sweep_report rep;
-    sweep_block_family<crypto::null_cipher>(rep);
-    sweep_block_family<crypto::simple_cipher>(rep);
-    sweep_block_family<crypto::safer_simplified>(rep);
-    sweep_block_family<crypto::safer_k64>(rep);
-    sweep_block_family<crypto::des>(rep);
-    sweep_block_family<crypto::aead_cipher>(rep);
-    sweep_rc4_family(rep);
+    sweep_flow_family<crypto::null_cipher>(rep);
+    sweep_flow_family<crypto::simple_cipher>(rep);
+    sweep_flow_family<crypto::safer_simplified>(rep);
+    sweep_flow_family<crypto::safer_k64>(rep);
+    sweep_flow_family<crypto::des>(rep);
+    sweep_flow_family<crypto::aead_cipher>(rep);
+    sweep_flow_family<crypto::rc4>(rep);
     sweep_word_family<crypto::null_cipher>(rep);
     sweep_word_family<crypto::simple_cipher>(rep);
     sweep_word_family<crypto::safer_simplified>(rep);

@@ -10,15 +10,20 @@
 //   * every REJECTED graph must name its rule, and R1 rejections are run
 //     anyway to confirm the predicted divergence actually happens.
 //
-// A verdict the differential contradicts is a *miscomputation*; a rejection
-// the model can't justify (or whose divergence fails to appear) is an
-// *unexplained rejection*.  CI fails on either.
+// The differential runs the graph the composer judged: its stages come from
+// the graph's nodes, in node order, and the fused side walks the graph's
+// parts in part order (run_differential below).  A verdict the differential
+// contradicts is a *miscomputation*; a rejection the model can't justify
+// (or whose divergence fails to appear) is an *unexplained rejection*.  CI
+// fails on either.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "analysis/graph.h"
 
 namespace ilp::app {
 
@@ -51,5 +56,34 @@ struct compose_sweep_report {
 };
 
 compose_sweep_report run_compose_sweep();
+
+// Every observable a differential run compares.  A tap the graph lacks keeps
+// its initial value on both sides, so plain equality covers every graph.
+struct compose_taps {
+    std::uint16_t inet8 = 0;  // checksum_tap8 (the TCP checksum)
+    std::uint16_t inet2 = 0;  // checksum_tap2
+    std::uint32_t crc = 0;    // crc32_tap
+    std::uint32_t tag = 0;    // AEAD tag
+
+    bool operator==(const compose_taps&) const = default;
+};
+
+struct differential_run {
+    bool outputs_match = false;  // fused buffer == layered buffer
+    bool taps_match = false;     // fused == layered, every tap
+    compose_taps fused;
+    compose_taps layered;
+};
+
+// Runs `g` both ways over one seeded message.  Fused: a dynamic_pipeline
+// with one stage per node, in node order, driven over g.parts in that
+// order.  Layered: each node's stage as a whole-message in-place pass, in
+// node order.  Nodes bind to Cipher's stages by footprint name
+// (checksum_tap8, checksum_tap2, crc32_tap, encrypt/decrypt,
+// aead_encrypt/aead_decrypt, rc4); a name with no stage fails the run
+// (outputs_match = false).  Instantiated for every cipher the sweep covers:
+// null, simple, safer-simplified, safer-k64, des, aead and rc4.
+template <typename Cipher>
+differential_run run_differential(const analysis::stage_graph& g);
 
 }  // namespace ilp::app

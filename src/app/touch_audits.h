@@ -6,9 +6,9 @@
 // source byte read exactly once, every destination byte written exactly
 // once, nothing else.  The send driver runs the genuine `fill_message_ilp`
 // over a one-piece ring span standing in for the TCP ring reservation; the
-// receive drivers call the genuine `receive_reply_ilp`.  Both round-trip the
-// payload so a cipher or plan bug fails loudly rather than producing a
-// clean-but-wrong audit.
+// receive driver calls the genuine `receive_reply_ilp` over a one- or
+// two-piece wire.  Both round-trip the payload so a cipher or plan bug fails
+// loudly rather than producing a clean-but-wrong audit.
 //
 // `ilp-lint --audit` runs these as the dynamic half of the lint pass;
 // tests/analysis_test.cpp runs them plus a seeded double-reading stage that
@@ -27,6 +27,7 @@
 #include "memsim/mem_policy.h"
 #include "memsim/touch_map.h"
 #include "rpc/messages.h"
+#include "util/contracts.h"
 #include "util/rng.h"
 
 // The drivers need the real paths; include them last to keep the dependency
@@ -116,79 +117,49 @@ audit_outcome audit_fused_send(const Cipher& cipher,
 }
 
 // Audits the fused receive path: the genuine receive_reply_ilp, wire image
-// -> application destination buffer.
+// -> application destination buffer.  With `split` == 0 the wire is one
+// contiguous piece ("app-recv-reply-ilp").  Otherwise it is staged as a
+// two-piece ring loan cut `split` bytes in — the arena's tail holds the
+// first piece, its head the second, exactly the shape datagram_pipe hands
+// out across the ring wrap ("app-recv-zero-copy").  On top of the
+// exactly-once expectations, the copy-count audit (A3) proves no staging
+// pass survives: the only writes on the whole watched path are the payload
+// bytes landing in their destination.
 template <crypto::block_cipher Cipher>
 audit_outcome audit_fused_receive(const Cipher& cipher,
-                                  std::size_t payload_bytes = 1024) {
+                                  std::size_t payload_bytes = 1024,
+                                  std::size_t split = 0) {
     const rpc::reply_layout layout = rpc::layout_reply(payload_bytes);
+    ILP_EXPECT(split < layout.wire_bytes);
     byte_buffer payload(payload_bytes);
     rng(13).fill(payload.span());
     byte_buffer wire(layout.wire_bytes);
     detail::build_wire(cipher, layout, payload.span(), wire.span());
 
-    byte_buffer dest(payload_bytes);
-    memsim::memory_system sys(memsim::test_tiny());
-    memsim::touch_map map;
-    map.watch("wire", wire.data(), wire.size());
-    map.watch("reply-dest", dest.data(), dest.size());
-    sys.set_touch_map(&map);
-    const memsim::sim_memory mem(sys);
-
-    path_counters counters;
-    rpc::reply_header header;
-    const tcp::rx_process_result result = receive_reply_ilp(
-        mem, cipher, wire.span(),
-        [&](const rpc::reply_header&, std::size_t n) -> std::span<std::byte> {
-            return n == dest.size() ? dest.span() : std::span<std::byte>{};
-        },
-        &header, counters);
-    sys.set_touch_map(nullptr);
-
-    audit_outcome out;
-    out.findings = analysis::audit_touches(
-        map, {{"wire", 1, 0}, {"reply-dest", 0, 1}},
-        "src/app/receive_path.h:receive_reply_ilp", "app-recv-reply-ilp");
-    out.round_trip_ok =
-        result.ok && (payload_bytes == 0 ||
-                      std::memcmp(dest.data(), payload.data(),
-                                  payload_bytes) == 0);
-    return out;
-}
-
-// Audits the zero-copy fused receive: the genuine chain-taking
-// receive_reply_ilp over a wire image deliberately staged as a two-piece
-// ring loan (the arena's tail holds the first piece, its head the second —
-// exactly the shape datagram_pipe hands out across the ring wrap).  On top
-// of the exactly-once expectations, the copy-count audit (A3) proves no
-// staging pass survives: the only writes on the whole watched path are the
-// payload bytes landing in their destination.
-template <crypto::block_cipher Cipher>
-audit_outcome audit_zero_copy_receive(const Cipher& cipher,
-                                      std::size_t payload_bytes = 1024) {
-    const rpc::reply_layout layout = rpc::layout_reply(payload_bytes);
-    byte_buffer payload(payload_bytes);
-    rng(17).fill(payload.span());
-    byte_buffer wire(layout.wire_bytes);
-    detail::build_wire(cipher, layout, payload.span(), wire.span());
-
-    // Stage the wire as a wrap-straddling loan, split at an odd offset so
-    // the chain cut lands mid-word inside the payload region.
-    const std::size_t split = layout.wire_bytes / 2 + 3;
-    byte_buffer arena(layout.wire_bytes + 64);
-    std::byte* piece_a = arena.data() + arena.size() - split;
-    std::byte* piece_b = arena.data();
-    std::memcpy(piece_a, wire.data(), split);
-    std::memcpy(piece_b, wire.data() + split, layout.wire_bytes - split);
-    const_ring_span chain;
-    chain.first = {piece_a, split};
-    chain.second = {piece_b, layout.wire_bytes - split};
+    const char* pipeline =
+        split == 0 ? "app-recv-reply-ilp" : "app-recv-zero-copy";
+    byte_buffer arena(split == 0 ? 0 : layout.wire_bytes + 64);
+    const_ring_span chain{wire.span(), {}};
+    if (split != 0) {
+        std::byte* piece_a = arena.data() + arena.size() - split;
+        std::memcpy(piece_a, wire.data(), split);
+        std::memcpy(arena.data(), wire.data() + split,
+                    layout.wire_bytes - split);
+        chain = {{piece_a, split}, {arena.data(), layout.wire_bytes - split}};
+    }
 
     byte_buffer dest(payload_bytes);
     memsim::memory_system sys(memsim::test_tiny());
     memsim::touch_map map;
-    map.watch("kernel-a", piece_a, split);
-    map.watch("kernel-b", piece_b, layout.wire_bytes - split);
+    const char* first = split == 0 ? "wire" : "kernel-a";
+    std::vector<analysis::touch_expectation> expect = {{first, 1, 0},
+                                                       {"reply-dest", 0, 1}};
+    map.watch(first, chain.first.data(), chain.first.size());
     map.watch("reply-dest", dest.data(), dest.size());
+    if (split != 0) {
+        map.watch("kernel-b", chain.second.data(), chain.second.size());
+        expect.push_back({"kernel-b", 1, 0});
+    }
     sys.set_touch_map(&map);
     const memsim::sim_memory mem(sys);
 
@@ -202,13 +173,11 @@ audit_outcome audit_zero_copy_receive(const Cipher& cipher,
         &header, counters);
     sys.set_touch_map(nullptr);
 
+    const char* site = "src/app/receive_path.h:receive_reply_ilp";
     audit_outcome out;
-    out.findings = analysis::audit_touches(
-        map, {{"kernel-a", 1, 0}, {"kernel-b", 1, 0}, {"reply-dest", 0, 1}},
-        "src/app/receive_path.h:receive_reply_ilp", "app-recv-zero-copy");
-    const auto copies = analysis::audit_copy_count(
-        map, payload_bytes, "src/app/receive_path.h:receive_reply_ilp",
-        "app-recv-zero-copy");
+    out.findings = analysis::audit_touches(map, expect, site, pipeline);
+    const auto copies =
+        analysis::audit_copy_count(map, payload_bytes, site, pipeline);
     out.findings.insert(out.findings.end(), copies.begin(), copies.end());
     out.round_trip_ok =
         result.ok && (payload_bytes == 0 ||

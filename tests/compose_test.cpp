@@ -3,11 +3,13 @@
 // verdict-caching gate, and the full `--compose` sweep the CI job runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/compose.h"
@@ -333,6 +335,52 @@ TEST(ComposeSweep, CoversTheSpaceWithZeroMiscomputations) {
     for (const app::compose_case& c : rep.cases) {
         EXPECT_TRUE(c.ok) << c.name << ": " << c.status;
     }
+}
+
+// The differential runs the graph it is handed: reordering the graph's
+// nodes or parts changes what both sides execute.
+TEST(ComposeSweep, ExecutesTheGraphItJudges) {
+    const app::secure_params classic{};
+    const analysis::stage_graph send = app::flow_graph<crypto::safer_k64>(
+        classic, app::compose_tap::none, app::compose_schedule::send_bca, 0);
+    ASSERT_STREQ(send.nodes[1].fp.name, "checksum_tap8");
+    const app::differential_run base =
+        app::run_differential<crypto::safer_k64>(send);
+    EXPECT_TRUE(base.outputs_match);
+    EXPECT_TRUE(base.taps_match);
+
+    // Tap ahead of the cipher: both sides now checksum the plaintext, so
+    // they still agree, on a different checksum.
+    analysis::stage_graph swapped = send;
+    std::swap(swapped.nodes[0], swapped.nodes[1]);
+    const app::differential_run tap_first =
+        app::run_differential<crypto::safer_k64>(swapped);
+    EXPECT_TRUE(tap_first.outputs_match);
+    EXPECT_TRUE(tap_first.taps_match);
+    EXPECT_NE(tap_first.fused.inet8, base.fused.inet8);
+
+    // The B,C,A crc32 graph diverges; walked in linear part order, the
+    // same nodes agree.
+    analysis::stage_graph crc = app::flow_graph<crypto::safer_k64>(
+        classic, app::compose_tap::crc32, app::compose_schedule::send_bca, 0);
+    const app::differential_run bca =
+        app::run_differential<crypto::safer_k64>(crc);
+    EXPECT_TRUE(bca.outputs_match);
+    EXPECT_FALSE(bca.taps_match);
+    std::sort(crc.parts.begin(), crc.parts.end(),
+              [](const analysis::part_info& a, const analysis::part_info& b) {
+                  return a.offset < b.offset;
+              });
+    const app::differential_run linear =
+        app::run_differential<crypto::safer_k64>(crc);
+    EXPECT_TRUE(linear.outputs_match);
+    EXPECT_TRUE(linear.taps_match);
+
+    // A node no stage answers to fails the run; it is never skipped.
+    analysis::stage_graph unbound = send;
+    unbound.nodes.push_back({core::xdr_encode_stage::footprint_decl, 0});
+    EXPECT_FALSE(
+        app::run_differential<crypto::safer_k64>(unbound).outputs_match);
 }
 
 }  // namespace

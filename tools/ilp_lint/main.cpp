@@ -100,36 +100,27 @@ std::vector<analysis::finding> run_audits() {
     rng(3).fill(key);
     const crypto::safer_k64 cipher(key);
 
-    app::audit_outcome send = app::audit_fused_send(cipher);
-    app::audit_outcome recv = app::audit_fused_receive(cipher);
-    app::audit_outcome zc = app::audit_zero_copy_receive(cipher);
-    out.insert(out.end(), send.findings.begin(), send.findings.end());
-    out.insert(out.end(), recv.findings.begin(), recv.findings.end());
-    out.insert(out.end(), zc.findings.begin(), zc.findings.end());
-    if (!send.round_trip_ok) {
-        out.push_back({analysis::severity::error, "A0-audit-fixture",
-                       "src/app/send_path.h:fill_message_ilp", send_graph_name,
-                       "audit payload failed to round-trip through the fused "
-                       "send path; the audit result is not trustworthy",
+    const auto add = [&](const app::audit_outcome& o, const char* site,
+                         const char* pipeline, const char* path) {
+        out.insert(out.end(), o.findings.begin(), o.findings.end());
+        if (o.round_trip_ok) return;
+        out.push_back({analysis::severity::error, "A0-audit-fixture", site,
+                       pipeline,
+                       std::string("audit payload failed to round-trip "
+                                   "through the ") +
+                           path + "; the audit result is not trustworthy",
                        {}});
-    }
-    if (!recv.round_trip_ok) {
-        out.push_back({analysis::severity::error, "A0-audit-fixture",
-                       "src/app/receive_path.h:receive_reply_ilp",
-                       "app-recv-reply-ilp",
-                       "audit payload failed to round-trip through the fused "
-                       "receive path; the audit result is not trustworthy",
-                       {}});
-    }
-    if (!zc.round_trip_ok) {
-        out.push_back({analysis::severity::error, "A0-audit-fixture",
-                       "src/app/receive_path.h:receive_reply_ilp",
-                       "app-recv-zero-copy",
-                       "audit payload failed to round-trip through the "
-                       "zero-copy fused receive path; the audit result is "
-                       "not trustworthy",
-                       {}});
-    }
+    };
+    const char* recv_site = "src/app/receive_path.h:receive_reply_ilp";
+    add(app::audit_fused_send(cipher), "src/app/send_path.h:fill_message_ilp",
+        send_graph_name, "fused send path");
+    add(app::audit_fused_receive(cipher), recv_site, "app-recv-reply-ilp",
+        "fused receive path");
+    // Cut the zero-copy wire at an odd offset so the chain cut lands
+    // mid-word inside the payload region.
+    const std::size_t split = rpc::layout_reply(1024).wire_bytes / 2 + 3;
+    add(app::audit_fused_receive(cipher, 1024, split), recv_site,
+        "app-recv-zero-copy", "zero-copy fused receive path");
     return out;
 }
 
