@@ -8,8 +8,9 @@
 // The bench enforces that (exit 1 on any mismatch), then reports what the
 // pipeline actually did: segments and batches carried, ring stall counts
 // (full/empty waits), and a per-stage memsim attribution of the server
-// side's memory cycles from tracer spans — the Figure 13/14 breakdown for
-// the three pipeline stages, showing the fused stage dominating.
+// side's memory cycles from the shard's stage meters — the Figure 13/14
+// breakdown for the three pipeline stages, showing the fused stage
+// dominating.
 //
 // Observability hooks (the BENCH regression pipeline):
 //   --smoke        smaller fleet (fast CI variant; the checked-in baseline
@@ -20,6 +21,7 @@
 //                  `ilp-trace summarize --per-stage-worker`.
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/safer_simplified.h"
@@ -179,19 +181,20 @@ int main(int argc, char** argv) {
                   obs::direction::higher_is_better);
 
     // Per-stage memsim attribution: a simulated-memory fleet (one serial
-    // shard — the tracer is thread-local; simulated memory demotes the
-    // fused stage to inline stepping) with spans on.  Each pipeline stage's
-    // *self* cycles come straight from the tracer aggregates, per k, giving
-    // the paper's Figure 13/14 cost breakdown for the pipelined path: the
-    // fused marshal/encrypt/checksum loop carries the memory traffic,
-    // segmentize and bookkeeping stay cheap.
+    // shard; simulated memory demotes the fused stage to inline stepping).
+    // Each pipeline stage's cost comes from the shard's stage meters, which
+    // sample the server's memory system around the stage, per k, giving the
+    // paper's Figure 13/14 cost breakdown for the pipelined path: the fused
+    // marshal/encrypt/checksum loop carries the memory traffic, segmentize
+    // and bookkeeping stay cheap.  The meters read the memory system, not
+    // tracer spans, so the check holds in an ILP_OBS=OFF build too.  A
+    // tracer still runs, for the --trace export.
     std::printf("\n--- per-stage server memory attribution (SuperSPARC, "
                 "simulated) ---\n");
-    // The three stage spans are disjoint siblings, so *inclusive* totals
-    // give a double-count-free per-stage cost split (the fused stage's
-    // nested fused_part spans fold into it, where they belong).
+    // The three stages are disjoint, so their totals give a
+    // double-count-free per-stage cost split.
     stats::table stage_table(
-        {"k", "stage", "spans", "cycles", "accesses"});
+        {"k", "stage", "calls", "cycles", "accesses"});
     for (const std::size_t k : batches) {
         obs::tracer tracer(1 << 16);
         obs::tracer* prev = obs::tracer::install(&tracer);
@@ -216,32 +219,31 @@ int main(int argc, char** argv) {
         // across runs and machines — those are the gated metrics.  Cycles
         // and misses depend on where the allocator put the buffers (cache
         // set mapping), so they are reported as info only.
-        std::uint64_t fused_accesses = 0;
-        std::uint64_t other_accesses = 0;
-        for (const auto& [stage, totals] : tracer.stages()) {
-            if (stage.side != "server" || stage.category != "pipeline") {
-                continue;
-            }
+        const engine::pipeline_stage_costs& costs =
+            sim.shards.front().pipeline_costs;
+        const std::pair<const char*, const engine::pipeline_stage_cost*>
+            stages[] = {{"bookkeeping", &costs.bookkeeping},
+                        {"fused_loop", &costs.fused_loop},
+                        {"segmentize", &costs.segmentize}};
+        for (const auto& [name, cost] : stages) {
             stage_table.row()
                 .cell(static_cast<double>(k), 0)
-                .cell(stage.name)
-                .cell(static_cast<double>(totals.count), 0)
-                .cell(static_cast<double>(totals.incl.cycles), 0)
-                .cell(static_cast<double>(totals.incl.accesses()), 0);
+                .cell(name)
+                .cell(static_cast<double>(cost->calls), 0)
+                .cell(static_cast<double>(cost->mem.cycles), 0)
+                .cell(static_cast<double>(cost->mem.accesses()), 0);
             const std::string stage_key =
-                "stage.k" + std::to_string(k) + "." + stage.name;
+                "stage.k" + std::to_string(k) + "." + name;
             report.metric(stage_key + ".accesses",
-                          static_cast<double>(totals.incl.accesses()),
+                          static_cast<double>(cost->mem.accesses()),
                           "accesses", obs::direction::lower_is_better);
             report.metric(stage_key + ".cycles",
-                          static_cast<double>(totals.incl.cycles), "cycles",
+                          static_cast<double>(cost->mem.cycles), "cycles",
                           obs::direction::info);
-            if (stage.name == "fused_loop") {
-                fused_accesses += totals.incl.accesses();
-            } else {
-                other_accesses += totals.incl.accesses();
-            }
         }
+        const std::uint64_t fused_accesses = costs.fused_loop.mem.accesses();
+        const std::uint64_t other_accesses =
+            costs.segmentize.mem.accesses() + costs.bookkeeping.mem.accesses();
         // The ILP thesis, restated per stage: the fused loop is where the
         // data manipulations (and so the memory traffic) live.
         if (fused_accesses == 0 || fused_accesses <= other_accesses) {

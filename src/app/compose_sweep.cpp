@@ -4,8 +4,10 @@
 #include <array>
 #include <functional>
 #include <span>
+#include <string>
 #include <string_view>
 #include <tuple>
+#include <vector>
 
 #include "analysis/compose.h"
 #include "app/compose_models.h"
@@ -278,12 +280,38 @@ void sweep_flow_family(compose_sweep_report& rep) {
 
 constexpr std::size_t word_case_bytes = 1024;
 
-// One chain case.  The graph's nodes are the footprints of the very chain
-// the differential then drives, so the two cannot drift apart; the layered
-// reference is the equivalent block stages as linear passes.
+// Calls `use` on the block stage the layered reference runs for a word
+// filter, by the filter's footprint name; false for a name no filter
+// declares.  The sink binds to nothing: the reference's buffer is the sink.
+template <typename Cipher, typename F>
+bool bind_word_stage(std::string_view name, const Cipher& cipher,
+                     checksum::inet_accumulator& acc, F&& use) {
+    if (name == "xdr_filter") {
+        core::xdr_encode_stage s;
+        use(s);
+    } else if (name == "cipher_filter(encrypt)") {
+        core::encrypt_stage<Cipher> s(cipher);
+        use(s);
+    } else if (name == "cipher_filter(decrypt)") {
+        core::decrypt_stage<Cipher> s(cipher);
+        use(s);
+    } else if (name == "checksum_filter") {
+        core::checksum_tap8 s(acc);
+        use(s);
+    } else {
+        return name == "sink_filter";
+    }
+    return true;
+}
+
+// One chain case: `filters` in push order, then the sink.  The graph's
+// nodes are the footprints of the very chain the differential then drives,
+// so the two cannot drift apart; the layered reference runs each node's
+// block stage as a linear pass, in node order.
 template <crypto::block_cipher Cipher>
 void sweep_word_case(compose_sweep_report& rep, const Cipher& cipher,
-                     bool with_xdr, bool encrypting) {
+                     std::string name,
+                     std::span<const word_filter_kind> filters) {
     std::vector<std::byte> chain_out(word_case_bytes);
     checksum::inet_accumulator acc;
     core::xdr_word_filter<mem_t> xdr;
@@ -291,25 +319,35 @@ void sweep_word_case(compose_sweep_report& rep, const Cipher& cipher,
     core::cipher_word_filter<mem_t, Cipher, false> dec(cipher);
     core::checksum_word_filter<mem_t> ck(acc);
     core::sink_word_filter<mem_t> sink(chain_out);
-    core::word_filter<mem_t>* cipher_f =
-        encrypting ? static_cast<core::word_filter<mem_t>*>(&enc) : &dec;
-    core::word_filter<mem_t>* head = cipher_f;
-    if (with_xdr) {
-        xdr.set_next(cipher_f);
-        head = &xdr;
+    std::vector<core::word_filter<mem_t>*> chain;
+    for (const word_filter_kind k : filters) {
+        core::word_filter<mem_t>* f = &ck;
+        switch (k) {
+            case word_filter_kind::xdr: f = &xdr; break;
+            case word_filter_kind::encrypt: f = &enc; break;
+            case word_filter_kind::decrypt: f = &dec; break;
+            case word_filter_kind::checksum: break;
+        }
+        // One object per kind: a repeat would link the chain into a loop.
+        ILP_EXPECT(std::find(chain.begin(), chain.end(), f) == chain.end());
+        chain.push_back(f);
     }
-    cipher_f->set_next(&ck);
-    ck.set_next(&sink);
+    chain.push_back(&sink);
+    for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
+        chain[i]->set_next(chain[i + 1]);
+    }
+    core::word_filter<mem_t>& head = *chain.front();
 
     analysis::stage_graph g;
-    g.name = std::string("word/") + cipher_label<Cipher>() +
-             (with_xdr ? "/xdr" : "") + (encrypting ? "/encrypt" : "/decrypt");
+    g.name = std::move(name);
     g.site = "src/app/compose_sweep.cpp:sweep_word_case";
-    g.side = encrypting ? analysis::graph_side::send
-                        : analysis::graph_side::receive;
+    g.side = std::find(filters.begin(), filters.end(),
+                       word_filter_kind::decrypt) != filters.end()
+                 ? analysis::graph_side::receive
+                 : analysis::graph_side::send;
     g.kind = analysis::pipeline_kind::word_chain;
     g.parts = {{0, word_case_bytes}};
-    for (const analysis::footprint& fp : core::chain_footprints(*head)) {
+    for (const analysis::footprint& fp : core::chain_footprints(head)) {
         g.nodes.push_back({fp, 0});
     }
 
@@ -318,7 +356,7 @@ void sweep_word_case(compose_sweep_report& rep, const Cipher& cipher,
         std::vector<std::byte> input(word_case_bytes);
         rng(11).fill(input);
         differential_run r;
-        core::feed_words(mem, *head, input);
+        core::feed_words(mem, head, input);
         if (sink.bytes_written() != word_case_bytes) {
             return r;  // chain lost words: unconditional mismatch
         }
@@ -327,18 +365,13 @@ void sweep_word_case(compose_sweep_report& rep, const Cipher& cipher,
         std::vector<std::byte> layered_out = input;
         const std::span<std::byte> buf(layered_out);
         checksum::inet_accumulator ref;
-        if (with_xdr) {
-            core::xdr_encode_stage x;
-            core::apply_stage_in_place(mem, x, buf);
+        for (const analysis::block_node& n : g.nodes) {
+            if (!bind_word_stage(n.fp.name, cipher, ref, [&](auto& stage) {
+                    core::apply_stage_in_place(mem, stage, buf);
+                })) {
+                return r;  // a node with no stage to run fails the run
+            }
         }
-        if (encrypting) {
-            core::encrypt_stage<Cipher> s(cipher);
-            core::apply_stage_in_place(mem, s, buf);
-        } else {
-            core::decrypt_stage<Cipher> s(cipher);
-            core::apply_stage_in_place(mem, s, buf);
-        }
-        core::checksum_pass(mem, ref, buf, 8);
         r.layered.inet8 = ref.folded();
 
         r.outputs_match = chain_out == layered_out;
@@ -349,13 +382,37 @@ void sweep_word_case(compose_sweep_report& rep, const Cipher& cipher,
 
 template <crypto::block_cipher Cipher>
 void sweep_word_family(compose_sweep_report& rep) {
+    using enum word_filter_kind;
     const Cipher cipher = make_cipher<Cipher>();
-    sweep_word_case(rep, cipher, false, true);
-    sweep_word_case(rep, cipher, true, true);
-    sweep_word_case(rep, cipher, false, false);
+    const std::string prefix = std::string("word/") + cipher_label<Cipher>();
+    constexpr word_filter_kind encrypt_chain[] = {encrypt, checksum};
+    constexpr word_filter_kind xdr_chain[] = {xdr, encrypt, checksum};
+    constexpr word_filter_kind decrypt_chain[] = {decrypt, checksum};
+    sweep_word_case(rep, cipher, prefix + "/encrypt", encrypt_chain);
+    sweep_word_case(rep, cipher, prefix + "/xdr/encrypt", xdr_chain);
+    sweep_word_case(rep, cipher, prefix + "/decrypt", decrypt_chain);
 }
 
 }  // namespace
+
+template <typename Cipher>
+compose_sweep_report run_word_case(std::string name,
+                                   std::span<const word_filter_kind> filters) {
+    compose_sweep_report rep;
+    sweep_word_case(rep, make_cipher<Cipher>(), std::move(name), filters);
+    return rep;
+}
+
+template compose_sweep_report run_word_case<crypto::null_cipher>(
+    std::string, std::span<const word_filter_kind>);
+template compose_sweep_report run_word_case<crypto::simple_cipher>(
+    std::string, std::span<const word_filter_kind>);
+template compose_sweep_report run_word_case<crypto::safer_simplified>(
+    std::string, std::span<const word_filter_kind>);
+template compose_sweep_report run_word_case<crypto::safer_k64>(
+    std::string, std::span<const word_filter_kind>);
+template compose_sweep_report run_word_case<crypto::des>(
+    std::string, std::span<const word_filter_kind>);
 
 compose_sweep_report run_compose_sweep() {
     compose_sweep_report rep;

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -85,5 +86,21 @@ struct differential_run {
 // null, simple, safer-simplified, safer-k64, des, aead and rc4.
 template <typename Cipher>
 differential_run run_differential(const analysis::stage_graph& g);
+
+// The filters a word-filter chain can hold, head first; a sink always ends
+// the chain, and a kind appears at most once.
+enum class word_filter_kind { xdr, encrypt, decrypt, checksum };
+
+// One word-filter chain case, as the sweep runs it: the chain `filters` ->
+// sink is composed as a graph named `name` and its verdict held to a
+// differential.  Fused: the chain itself, word by word.  Layered: the
+// block stage each node's footprint names (xdr_filter, cipher_filter(
+// encrypt|decrypt), checksum_filter), as whole-message passes in node
+// order.  The report holds the one case.  Instantiated for the block
+// ciphers the sweep's word family covers: null, simple, safer-simplified,
+// safer-k64 and des.
+template <typename Cipher>
+compose_sweep_report run_word_case(std::string name,
+                                   std::span<const word_filter_kind> filters);
 
 }  // namespace ilp::app

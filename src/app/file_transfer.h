@@ -29,6 +29,7 @@
 #include "app/receive_path.h"
 #include "app/secure_path.h"
 #include "app/send_path.h"
+#include "buffer/byte_buffer.h"
 #include "net/datagram.h"
 #include "obs/tracer.h"
 #include "rpc/messages.h"
@@ -77,6 +78,17 @@ private:
     std::map<std::string, std::vector<std::byte>> files_;
 };
 
+// The scratch packet of an endpoint's pass-per-layer sends.  Only a layered
+// endpoint stages; an ILP endpoint fills the TCP ring directly and gets an
+// empty buffer.  A flow the legality gate demoted is layered by the time its
+// endpoints are built, so it gets its staging too.
+inline byte_buffer layered_staging_for(path_mode mode) {
+    return mode == path_mode::layered
+               ? byte_buffer::uninitialized(
+                     net::datagram_pipe::max_packet_bytes)
+               : byte_buffer{};
+}
+
 // ---------------------------------------------------------------------------
 // Server
 
@@ -101,8 +113,9 @@ public:
           request_isn_(request_cfg.initial_seq),
           request_rx_(mem, clock, request_ack_out, request_cfg),
           reply_tx_(mem, clock, reply_data_out, reply_cfg),
-          layered_staging_(net::datagram_pipe::max_packet_bytes),
-          request_staging_(net::datagram_pipe::max_packet_bytes) {
+          layered_staging_(layered_staging_for(mode)),
+          request_staging_(byte_buffer::uninitialized(
+              net::datagram_pipe::max_packet_bytes)) {
         reply_tx_.set_attribution("server", obs_src_);
         // The client's request sender RSTs when it gives up; rewind to the
         // agreed initial sequence so its re-established sender lines up.
@@ -237,9 +250,9 @@ public:
         slot.payload_len = payload_len;
         slot.key = keys_.reply_key();
         slot.mode = mode_;
-        if (mode_ == path_mode::layered) {
-            slot.layered_staging = layered_staging_.subspan(0, wire);
-        }
+        slot.layered_staging = mode_ == path_mode::layered
+                                   ? layered_staging_.subspan(0, wire)
+                                   : std::span<std::byte>{};
         slot.mem = mem_;
         // rekey_interval_bytes policy: the segment that fills the interval
         // advances the key window when it completes.  Everything already
@@ -494,7 +507,7 @@ public:
           request_isn_(request_cfg.initial_seq),
           request_tx_(mem, clock, request_data_out, request_cfg),
           reply_rx_(mem, clock, reply_ack_out, reply_cfg),
-          layered_staging_(net::datagram_pipe::max_packet_bytes) {
+          layered_staging_(layered_staging_for(mode)) {
         request_tx_.set_attribution("client", obs_src_);
         reply_rx_.set_processor([this](std::span<std::byte> payload) {
             return process_reply(payload);
@@ -800,9 +813,13 @@ private:
         if (!pending.has_value()) return false;
         const seal_key<Cipher> key = keys_.request_key();
         ILP_OBS_SPAN("app", send_span(key, mode_));
+        const std::span<std::byte> staging =
+            mode_ == path_mode::layered
+                ? layered_staging_.subspan(0, wire_bytes)
+                : std::span<std::byte>{};
         request_tx_.commit_segment(
             *pending, fill_segment(mode_, mem_, key, src, plan, pending->dst,
-                                   layered_staging_.subspan(0, wire_bytes)));
+                                   staging));
         count_sent(tx_counters_, mode_, plan.total_bytes, wire_bytes);
         return true;
     }

@@ -4,6 +4,14 @@
 // units (8 bytes), marshalling units (4 bytes) and checksum units (2 bytes)
 // start on their natural alignment, and so the simulated cache model sees
 // stable, realistic heap addresses.
+//
+// Two forms.  byte_buffer(n) zero-fills its storage: use it when something
+// may read a byte before anything writes it.  byte_buffer::uninitialized(n)
+// leaves the storage as the allocator returned it: use it for buffers whose
+// every read follows a write of the same bytes (rings, staging areas, packet
+// copies), which is every per-flow and per-pipe buffer of the stack.  The
+// zero-fill is a pass over memory nobody reads, and a fleet of short flows
+// pays it at every flow open (DESIGN §5m).
 #pragma once
 
 #include <cstddef>
@@ -18,10 +26,22 @@ class byte_buffer {
 public:
     byte_buffer() = default;
 
+    // Zero-filled storage of `size` bytes.
     explicit byte_buffer(std::size_t size) : size_(size) {
         if (size_ > 0) {
             data_.reset(new (std::align_val_t{alignment}) std::byte[size_]());
         }
+    }
+
+    // Storage of `size` bytes whose contents are indeterminate until
+    // written.
+    static byte_buffer uninitialized(std::size_t size) {
+        byte_buffer b;
+        b.size_ = size;
+        if (size > 0) {
+            b.data_.reset(new (std::align_val_t{alignment}) std::byte[size]);
+        }
+        return b;
     }
 
     std::size_t size() const noexcept { return size_; }

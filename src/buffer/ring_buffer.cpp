@@ -4,7 +4,8 @@
 
 namespace ilp {
 
-ring_buffer::ring_buffer(std::size_t capacity) : storage_(capacity) {
+ring_buffer::ring_buffer(std::size_t capacity)
+    : storage_(byte_buffer::uninitialized(capacity)) {
     ILP_EXPECT(capacity > 0);
 }
 

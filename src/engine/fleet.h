@@ -93,6 +93,8 @@ struct shard_summary {
     // when no flow opted in): exported fleet-wide as pipeline.ring.*.
     pipeline::ring_stall_stats pipeline;
     bool pipeline_threaded = false;
+    // Server memory traffic of each pipeline stage (simulated memory only).
+    pipeline_stage_costs pipeline_costs;
     // What outlived the shard's flows once run() returned: clock timers
     // still pending, packets still queued on its four pipes, ports still
     // allocated.  All zero when every flow tore down cleanly.
@@ -240,6 +242,7 @@ fleet_report run_fleet(const fleet_config& cfg, MemFactory&& shard_mems) {
         s.slowest = w->slowest_flows();
         s.pipeline = w->pipeline_stats();
         s.pipeline_threaded = w->pipeline_threaded();
+        s.pipeline_costs = w->pipeline_costs();
         s.leftover_timers = w->clock().pending_timers();
         s.leftover_packets = w->request_link().forward().in_flight() +
                              w->request_link().reverse().in_flight() +

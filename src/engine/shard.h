@@ -75,6 +75,21 @@ struct shard_options {
     obs::flow_sampler trace_sampler{};
 };
 
+// One pipelined-dataplane stage's server memory traffic: how often the
+// stage ran, and the simulated memory system's counters across those runs
+// (zero under direct_memory).  Sampled from the memory system itself, the
+// same counters a tracer span reads, so it holds with ILP_OBS=OFF too.
+struct pipeline_stage_cost {
+    std::uint64_t calls = 0;
+    obs::mem_counters mem;
+};
+
+struct pipeline_stage_costs {
+    pipeline_stage_cost segmentize;   // stage A
+    pipeline_stage_cost fused_loop;   // stage B
+    pipeline_stage_cost bookkeeping;  // stage C
+};
+
 template <memsim::memory_policy Mem, crypto::block_cipher Cipher>
 class shard {
 public:
@@ -331,6 +346,9 @@ public:
     bool pipeline_threaded() const noexcept {
         return pipeline_.has_value() && pipeline_->threaded();
     }
+    const pipeline_stage_costs& pipeline_costs() const noexcept {
+        return stage_costs_;
+    }
 
 private:
     // e.ports slots; each of the four pipe directions has its own demux, so
@@ -496,6 +514,8 @@ private:
                 {
                     ILP_OBS_ATTR("server", server_obs_src_);
                     ILP_OBS_SPAN("pipeline", "segmentize");
+                    const stage_meter meter(server_obs_src_,
+                                            stage_costs_.segmentize);
                     segmentized = server.segmentize_segment(*slot);
                 }
                 if (!segmentized) {  // TCP window/buffer blocked
@@ -529,17 +549,44 @@ private:
     void drain_one(app::file_server<Mem, Cipher>& server) {
         typename app::file_server<Mem, Cipher>::pipeline_slot* slot = nullptr;
         {
+            // Under simulated memory the runner is inline, so next_done()
+            // runs exactly one fused stage: its traffic is stage B's.
             ILP_OBS_ATTR("server", server_obs_src_);
+            const stage_meter meter(server_obs_src_, stage_costs_.fused_loop);
             slot = pipeline_->next_done();
         }
         ILP_ENSURE(slot != nullptr);
         {
             ILP_OBS_ATTR("server", server_obs_src_);
             ILP_OBS_SPAN("pipeline", "bookkeeping");
+            const stage_meter meter(server_obs_src_, stage_costs_.bookkeeping);
             server.complete_segment(*slot);
         }
         pipeline_->release(slot);
     }
+
+    // Charges the server memory traffic of its scope to one stage.
+    class stage_meter {
+    public:
+        stage_meter(const memsim::memory_system* source,
+                    pipeline_stage_cost& cost)
+            : source_(source), cost_(&cost) {
+            if (source_ != nullptr) before_ = obs::sample_counters(*source_);
+        }
+        ~stage_meter() {
+            ++cost_->calls;
+            if (source_ != nullptr) {
+                cost_->mem += obs::sample_counters(*source_) - before_;
+            }
+        }
+        stage_meter(const stage_meter&) = delete;
+        stage_meter& operator=(const stage_meter&) = delete;
+
+    private:
+        const memsim::memory_system* source_;
+        pipeline_stage_cost* cost_;
+        obs::mem_counters before_;
+    };
 
     // (Re)creates the shard's stage runner so its slot pool covers the
     // deepest pipeline requested so far.  Only called from open_flow, when
@@ -733,6 +780,7 @@ private:
     std::optional<pipeline::stage_runner<
         typename app::file_server<Mem, Cipher>::pipeline_slot>>
         pipeline_;
+    pipeline_stage_costs stage_costs_;
     std::map<std::uint32_t, std::unique_ptr<flow_entry>> table_;
     std::size_t active_ = 0;
     flow_entry* active_head_ = nullptr;  // live flows, ascending id

@@ -12,9 +12,9 @@ datagram_pipe::datagram_pipe(virtual_clock& clock, sim_time latency_us,
     : clock_(&clock),
       latency_us_(latency_us),
       faults_(faults),
-      kernel_staging_(max_packet_bytes),
-      deliver_buffer_(max_packet_bytes),
-      rx_ring_(max_packet_bytes + 512) {
+      kernel_staging_(byte_buffer::uninitialized(max_packet_bytes)),
+      deliver_buffer_(byte_buffer::uninitialized(max_packet_bytes)),
+      rx_ring_(byte_buffer::uninitialized(max_packet_bytes + 512)) {
     states_.emplace_back(faults, faults.seed);
 }
 

@@ -588,7 +588,8 @@ public:
           clock_(&clock),
           ack_out_(&ack_out),
           config_(config),
-          recv_buffer_(net::datagram_pipe::max_packet_bytes),
+          recv_buffer_(byte_buffer::uninitialized(
+              net::datagram_pipe::max_packet_bytes)),
           rcv_nxt_(config.initial_seq) {}
 
     tcp_receiver(const tcp_receiver&) = delete;

@@ -39,6 +39,30 @@ TEST(ByteBuffer, EmptyBuffer) {
     EXPECT_EQ(buf.size(), 0u);
 }
 
+// The uninitialised form promises size and alignment, not contents: the
+// test writes every byte before it reads one.
+TEST(ByteBuffer, UninitializedFormIsSizedAndAligned) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{100},
+                                std::size_t{16 * 1024}}) {
+        byte_buffer buf = byte_buffer::uninitialized(n);
+        EXPECT_EQ(buf.size(), n);
+        EXPECT_FALSE(buf.empty());
+        ASSERT_NE(buf.data(), nullptr);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) %
+                      byte_buffer::alignment,
+                  0u);
+        const auto data = pattern(n, 5);
+        std::memcpy(buf.data(), data.data(), n);
+        EXPECT_TRUE(std::equal(data.begin(), data.end(), buf.span().begin()));
+    }
+
+    const byte_buffer none = byte_buffer::uninitialized(0);
+    EXPECT_TRUE(none.empty());
+    EXPECT_EQ(none.size(), 0u);
+    EXPECT_EQ(none.data(), nullptr);
+    EXPECT_TRUE(none.span().empty());
+}
+
 TEST(RingBuffer, PushPeekRelease) {
     ring_buffer ring(64);
     const auto data = pattern(20);

@@ -383,4 +383,31 @@ TEST(ComposeSweep, ExecutesTheGraphItJudges) {
         app::run_differential<crypto::safer_k64>(unbound).outputs_match);
 }
 
+// The word-filter sweep's reference runs the chain's own nodes: a chain
+// that checksums the plaintext before encrypting it is a legal composition,
+// and the reference checksums the plaintext too.
+TEST(ComposeSweep, WordChainReferenceFollowsTheChainOrder) {
+    using enum app::word_filter_kind;
+    constexpr app::word_filter_kind checksum_first[] = {checksum, encrypt};
+    constexpr app::word_filter_kind cipher_first[] = {encrypt, checksum};
+    const app::compose_sweep_report swapped =
+        app::run_word_case<crypto::safer_k64>("word/safer-k64/checksum/encrypt",
+                                              checksum_first);
+    const app::compose_sweep_report usual =
+        app::run_word_case<crypto::safer_k64>("word/safer-k64/encrypt",
+                                              cipher_first);
+    for (const app::compose_sweep_report* rep : {&swapped, &usual}) {
+        ASSERT_EQ(rep->cases.size(), 1u);
+        const app::compose_case& c = rep->cases.front();
+        SCOPED_TRACE(c.name);
+        EXPECT_TRUE(c.legal) << c.rule << " on " << c.offender;
+        EXPECT_TRUE(c.executed);
+        EXPECT_TRUE(c.outputs_match);
+        EXPECT_TRUE(c.taps_match);
+        EXPECT_TRUE(c.ok) << c.status;
+        EXPECT_EQ(rep->miscomputations, 0u);
+    }
+    EXPECT_NE(swapped.cases.front().hash, usual.cases.front().hash);
+}
+
 }  // namespace
